@@ -36,7 +36,12 @@ EXIT_UNDECIDED = 1
 EXIT_USAGE = 2
 EXIT_REFUTATION = 3
 
-DEFAULT_BUDGET = int(os.environ.get("QCHAR2_BUDGET", "20000"))
+
+def _int_list(text: str) -> tuple:
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,13 +59,14 @@ def build_parser() -> argparse.ArgumentParser:
     def mk(name, **kw):
         return sub.add_parser(name, parents=[output], conflict_handler="resolve", **kw)
 
-    def common(p, field=True):
-        if field:
-            p.add_argument("--field", required=True, help='e.g. "F2((t))" or "F2^2"')
+    def common(p):
+        p.add_argument("--field", required=True, help='e.g. "F2((t))" or "F2^2"')
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-        p.add_argument("--precision", type=int, default=16)
+        # a string default goes through `type`, so a malformed
+        # QCHAR2_BUDGET is a usage error of the command that relies on it
+        p.add_argument("--budget", type=int, default=os.environ.get("QCHAR2_BUDGET", "20000"),
+                       help="search budget (default: $QCHAR2_BUDGET, else 20000)")
 
     p = mk("isotropy", help="decide isotropy of a form")
     common(p)
@@ -90,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = mk("symlen", help="symbol-length machinery")
     symsub = p.add_subparsers(dest="op", required=True)
     pb = symsub.add_parser("bound", parents=[output], conflict_handler="resolve")
-    pb.add_argument("--u", required=True, help="comma-separated u^2,...,u^n")
+    pb.add_argument("--u", required=True, type=_int_list, help="comma-separated u^2,...,u^n")
     pb.add_argument("--n", type=int, required=True)
     pb.add_argument("--rank", type=int, default=None,
                     help="also report the 2-rank bound for this rank")
@@ -120,8 +126,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = mk("verify", help="run a verification suite")
     p.add_argument("suite", choices=sorted(SUITES) + ["all"])
-    common(p, field=False)
     p.add_argument("--field", default=None)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--budget", type=int, default=None,
+                   help="overrides every suite's own budget (default: keep them)")
     return top
 
 
@@ -243,7 +252,7 @@ def _run_invariants(args):
     f = parse_form(tw, args.form)
     r = arf(f)
     c = clifford(f)
-    triv = clifford_trivial(c, args.budget)
+    triv = clifford_trivial(c)
     payload = {
         "command": "invariants",
         "field": tw.descriptor(),
@@ -253,7 +262,7 @@ def _run_invariants(args):
     }
     code = EXIT_OK if triv is not None else EXIT_UNDECIDED
     if args.n is not None:
-        member = in_iqn(f, args.n, args.budget)
+        member = in_iqn(f, args.n)
         payload["membership"] = {"degree": args.n, "member": member}
         if member is None:
             code = EXIT_UNDECIDED
@@ -271,7 +280,7 @@ def _run_symbol(args):
     if args.op == "simplify":
         payload["result"] = format_symbol_sum(simplify(s))
     elif args.op == "trivial":
-        got = class_trivial(s, args.budget)
+        got = class_trivial(s)
         payload["trivial"] = got
         code = EXIT_OK if got is not None else EXIT_UNDECIDED
     elif args.op == "rewrite":
@@ -293,12 +302,11 @@ def _run_symbol(args):
 
 def _run_symlen(args):
     if args.op == "bound":
-        values = tuple(int(x) for x in args.u.split(","))
         payload = {
             "command": "symlen bound",
-            "u_values": list(values),
+            "u_values": list(args.u),
             "degree": args.n,
-            "bound": symbol_length_bound(values, args.n),
+            "bound": symbol_length_bound(args.u, args.n),
         }
         if args.rank is not None:
             payload["two_rank_bound"] = two_rank_bound(args.rank, args.n)
@@ -413,8 +421,7 @@ def _run_verify(args):
     reports = []
     worst = EXIT_OK
     for name in names:
-        rep = run_suite(name, tw, samples=args.samples, seed=args.seed,
-                        budget=args.budget if args.budget != DEFAULT_BUDGET else None)
+        rep = run_suite(name, tw, samples=args.samples, seed=args.seed, budget=args.budget)
         reports.append(rep)
         if rep.has_refutation:
             worst = max(worst, EXIT_REFUTATION)

@@ -19,6 +19,7 @@ route used by the cross-check tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, product
 
 from .errors import UndecidableClass, UndecidableInstance, WildSymbol, ZeroInput
 from .fields import (
@@ -331,7 +332,7 @@ def _expansions(decomp):
 # -- triviality ------------------------------------------------------------------------
 
 
-def class_trivial(s: SymbolSum, budget: int = 4096):
+def class_trivial(s: SymbolSum):
     """True / False / None(undecided) for the class of s.
 
     Residue recursion on tame sums; single wild symbols fall back to the
@@ -356,8 +357,8 @@ def class_trivial(s: SymbolSum, budget: int = 4096):
         unram, ram = symbol_residue(s, level)
     except WildSymbol:
         return _single_symbol_route(s)
-    r_unram = class_trivial(unram, budget)
-    r_ram = class_trivial(ram, budget)
+    r_unram = class_trivial(unram)
+    r_ram = class_trivial(ram)
     if r_unram is False or r_ram is False:
         return False
     if r_unram is True and r_ram is True:
@@ -379,10 +380,6 @@ def _single_symbol_route(s: SymbolSum):
 def symbol_to_pfister(sym: Symbol) -> QuadraticPfister:
     """Invert the cohomological-invariant map slotwise."""
     return QuadraticPfister(sym.slots, sym.coefficient)
-
-
-def classes_equal(a: SymbolSum, b: SymbolSum, budget: int = 4096):
-    return class_trivial(a + b, budget)
 
 
 # -- symbol length ----------------------------------------------------------------------
@@ -410,18 +407,12 @@ def symbol_pool(tw: FieldTower, budget: int) -> list[FieldElement]:
                 x = x * tw.monomial(lv, e)
         return x
 
-    def rec(lv, es):
-        if lv > tw.height:
-            for u in units:
-                x = mono(es, u)
-                if x not in seen:
-                    seen.add(x)
-                    pool.append(x)
-            return
-        for e in exps:
-            rec(lv + 1, es + [e])
-
-    rec(1, [])
+    for es in product(exps, repeat=tw.height):
+        for u in units:
+            x = mono(es, u)
+            if x not in seen:
+                seen.add(x)
+                pool.append(x)
     if budget >= 2048:
         extra = []
         for i, x in enumerate(pool[: min(len(pool), 12)]):
@@ -438,7 +429,7 @@ def symbol_length(s: SymbolSum, budget: int = 4096, extra_pool=()) -> LengthResu
     """Exact symbol length when certifiable (0, 1, or the basis-coordinate
     count when nothing shorter exists in the searched pool); otherwise an
     upper bound flagged inexact."""
-    verdict = class_trivial(s, budget)
+    verdict = class_trivial(s)
     if verdict is None:
         raise UndecidableClass("cannot certify triviality of the input class")
     if verdict:
@@ -459,7 +450,7 @@ def symbol_length(s: SymbolSum, budget: int = 4096, extra_pool=()) -> LengthResu
         tried += 1
         if tried > budget:
             break
-        if class_trivial(simple + cand, budget) is True:
+        if class_trivial(simple + cand) is True:
             return LengthResult(1, True, SymbolSum(s.degree, (cand,)))
     best = simplify(canonical)
     return LengthResult(min(bound, len(best.symbols)) or bound, False, best)
@@ -467,14 +458,6 @@ def symbol_length(s: SymbolSum, budget: int = 4096, extra_pool=()) -> LengthResu
 
 def _symbol_candidates(pool, slots_needed, degree):
     nonzero = [x for x in pool if not x.is_zero()]
-
-    def rec(chosen, start):
-        if len(chosen) == slots_needed:
-            for a in pool:
-                if not a.is_zero():
-                    yield Symbol(degree, a, tuple(chosen))
-            return
-        for i in range(start, len(nonzero)):
-            yield from rec(chosen + [nonzero[i]], i + 1)
-
-    yield from rec([], 0)
+    for chosen in combinations(nonzero, slots_needed):
+        for a in nonzero:
+            yield Symbol(degree, a, chosen)

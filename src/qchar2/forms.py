@@ -371,14 +371,21 @@ def pairs_from_gram(tw, m) -> tuple:
     a = q(fvec) / b
     if n == 2:
         return ((b, a),)
-    rows = [[bil(e, basis[j]) for j in range(n)], [bil(fvec, basis[j]) for j in range(n)]]
+    return ((b, a),) + _complement_pairs(tw, m, basis, e, fvec)
+
+
+def _complement_pairs(tw, m, basis, e, f) -> tuple:
+    """Presentation of the orthogonal complement of the plane spanned by
+    e and f, on the kernel basis of their polar functionals."""
+    n = len(m)
+    rows = [[gram_polar(tw, m, x, w) for w in basis] for x in (e, f)]
     comp = kernel_basis(tw, rows)
-    sub = [[zero] * (n - 2) for _ in range(n - 2)]
+    sub = [[tw.zero()] * (n - 2) for _ in range(n - 2)]
     for i, u in enumerate(comp):
-        sub[i][i] = q(u)
+        sub[i][i] = gram_evaluate(tw, m, u)
         for j in range(i + 1, n - 2):
-            sub[i][j] = bil(u, comp[j])
-    return ((b, a),) + pairs_from_gram(tw, sub)
+            sub[i][j] = gram_polar(tw, m, u, comp[j])
+    return pairs_from_gram(tw, sub)
 
 
 def rescramble(f: QuadraticForm, t) -> QuadraticForm:
@@ -402,14 +409,4 @@ def split_plane(f: QuadraticForm, v) -> QuadraticForm:
     partner = next((w for w in basis if not gram_polar(tw, m, v, w).is_zero()), None)
     if partner is None:
         raise SingularInput("zero vector lies in the radical")
-    rows = [
-        [gram_polar(tw, m, v, basis[j]) for j in range(n)],
-        [gram_polar(tw, m, partner, basis[j]) for j in range(n)],
-    ]
-    comp = kernel_basis(tw, rows)
-    sub = [[tw.zero()] * (n - 2) for _ in range(n - 2)]
-    for i, u in enumerate(comp):
-        sub[i][i] = gram_evaluate(tw, m, u)
-        for j in range(i + 1, n - 2):
-            sub[i][j] = gram_polar(tw, m, u, comp[j])
-    return QuadraticForm(tw, pairs_from_gram(tw, sub), f.quasilinear)
+    return QuadraticForm(tw, _complement_pairs(tw, m, basis, v, partner), f.quasilinear)

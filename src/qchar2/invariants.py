@@ -63,9 +63,9 @@ def clifford(f: QuadraticForm) -> CliffordSymbolSum:
     return CliffordSymbolSum.from_symbol_sum(simplify(raw))
 
 
-def clifford_trivial(c: CliffordSymbolSum, budget: int = 4096):
+def clifford_trivial(c: CliffordSymbolSum):
     """True / False / None for the Brauer class of the sum."""
-    return class_trivial(c.to_symbol_sum(), budget)
+    return class_trivial(c.to_symbol_sum())
 
 
 def e_map(p: QuadraticPfister) -> Symbol:
@@ -87,17 +87,7 @@ def iqn_vanishes(tw: FieldTower, n: int) -> bool:
     return n >= tw.height + 2
 
 
-def iqn_vanishing_entry(tw: FieldTower, n: int) -> dict:
-    return {
-        "field": tw.descriptor(),
-        "degree": n,
-        "vanishes": iqn_vanishes(tw, n),
-        "provenance": "derived: u = 2^(m+1) witness family plus the"
-                      " minimal-dimension property of anisotropic forms",
-    }
-
-
-def in_iqn(f: QuadraticForm, n: int, budget: int = 4096):
+def in_iqn(f: QuadraticForm, n: int):
     """Membership of f in the degree-n subgroup: True / False / None.
 
     n=1 is all even-dimensional nonsingular classes; n=2 is Arf
@@ -116,7 +106,7 @@ def in_iqn(f: QuadraticForm, n: int, budget: int = 4096):
     if n == 3:
         if not arf_ok:
             return False
-        return clifford_trivial(clifford(f), budget)
+        return clifford_trivial(clifford(f))
     if iqn_vanishes(f.tower, n):
         return is_hyperbolic(f)
     return None

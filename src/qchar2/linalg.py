@@ -11,83 +11,46 @@ from .errors import ZeroInput
 from .fields import FieldElement, FieldTower
 
 
-def rank_profile(tw: FieldTower, rows):
-    """Row-reduce a copy of `rows`; return (rank, pivot column indices)."""
-    mat = [list(r) for r in rows]
-    n_rows = len(mat)
-    n_cols = len(mat[0]) if mat else 0
-    pivots = []
+def _rref(mat, n_cols):
+    """Reduce `mat` in place to reduced row echelon form over its first
+    `n_cols` columns; return the (pivot column, row) pairs in order."""
+    reduced = []
     r = 0
     for c in range(n_cols):
-        pivot = next((i for i in range(r, n_rows) if not mat[i][c].is_zero()), None)
+        pivot = next((i for i in range(r, len(mat)) if not mat[i][c].is_zero()), None)
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
         inv = mat[r][c].inverse()
         mat[r] = [x * inv for x in mat[r]]
-        for i in range(n_rows):
+        for i in range(len(mat)):
             if i != r and not mat[i][c].is_zero():
                 f = mat[i][c]
                 mat[i] = [x + f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
+        reduced.append((c, r))
         r += 1
-        if r == n_rows:
-            break
-    return r, pivots
+    return reduced
+
+
+def rank_profile(tw: FieldTower, rows):
+    """Row-reduce a copy of `rows`; return (rank, pivot column indices)."""
+    mat = [list(r) for r in rows]
+    reduced = _rref(mat, len(mat[0]) if mat else 0)
+    return len(reduced), [c for c, _ in reduced]
 
 
 def kernel_vector(tw: FieldTower, rows):
     """A nonzero vector v with M v = 0 (columns = unknowns), or None."""
-    mat = [list(r) for r in rows]
-    n_cols = len(mat[0]) if mat else 0
-    _, pivots = rank_profile(tw, mat)
-    free = [c for c in range(n_cols) if c not in pivots]
-    if not free:
-        return None
-    target = free[0]
-    # re-reduce and back-substitute with the free variable set to 1
-    mat = [list(r) for r in rows]
-    reduced = []
-    r = 0
-    for c in range(n_cols):
-        pivot = next((i for i in range(r, len(mat)) if not mat[i][c].is_zero()), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = mat[r][c].inverse()
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and not mat[i][c].is_zero():
-                f = mat[i][c]
-                mat[i] = [x + f * y for x, y in zip(mat[i], mat[r])]
-        reduced.append((c, r))
-        r += 1
-    v = [tw.zero()] * n_cols
-    v[target] = tw.one()
-    for c, row_idx in reduced:
-        v[c] = mat[row_idx][target]
-    return v
+    basis = kernel_basis(tw, rows)
+    return basis[0] if basis else None
 
 
 def kernel_basis(tw: FieldTower, rows):
-    """Basis of {v : M v = 0}, in free-column order."""
+    """Basis of {v : M v = 0}, in free-column order; each vector is 1 on
+    its own free column and 0 on the other free columns."""
     mat = [list(r) for r in rows]
     n_cols = len(mat[0]) if mat else 0
-    reduced = []
-    r = 0
-    for c in range(n_cols):
-        pivot = next((i for i in range(r, len(mat)) if not mat[i][c].is_zero()), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = mat[r][c].inverse()
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and not mat[i][c].is_zero():
-                f = mat[i][c]
-                mat[i] = [x + f * y for x, y in zip(mat[i], mat[r])]
-        reduced.append((c, r))
-        r += 1
+    reduced = _rref(mat, n_cols)
     pivot_cols = {c for c, _ in reduced}
     basis = []
     for free in range(n_cols):
@@ -105,24 +68,9 @@ def solve(tw: FieldTower, rows, rhs):
     """Solve M x = rhs exactly; returns x or None when inconsistent."""
     mat = [list(r) + [b] for r, b in zip(rows, rhs)]
     n_cols = len(rows[0]) if rows else 0
-    reduced = []
-    r = 0
-    for c in range(n_cols):
-        pivot = next((i for i in range(r, len(mat)) if not mat[i][c].is_zero()), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = mat[r][c].inverse()
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and not mat[i][c].is_zero():
-                f = mat[i][c]
-                mat[i] = [x + f * y for x, y in zip(mat[i], mat[r])]
-        reduced.append((c, r))
-        r += 1
-    for i in range(r, len(mat)):
-        if not mat[i][n_cols].is_zero():
-            return None
+    reduced = _rref(mat, n_cols)
+    if any(not mat[i][n_cols].is_zero() for i in range(len(reduced), len(mat))):
+        return None
     x = [tw.zero()] * n_cols
     for c, row_idx in reduced:
         x[c] = mat[row_idx][n_cols]

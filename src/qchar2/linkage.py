@@ -11,6 +11,7 @@ papered over.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .cohomology import SymbolSum, class_trivial, simplify
 from .errors import (
@@ -44,7 +45,7 @@ from .witt import (
 # -- Pfister equality through the invariant map -----------------------------------
 
 
-def pfisters_isometric(p: QuadraticPfister, q: QuadraticPfister, budget: int = 4096):
+def pfisters_isometric(p: QuadraticPfister, q: QuadraticPfister):
     """True/False/None; cheap invariant filter first, Witt check second.
 
     When the degree-(n+1) subgroup vanishes, equal invariants force Witt
@@ -55,7 +56,7 @@ def pfisters_isometric(p: QuadraticPfister, q: QuadraticPfister, budget: int = 4
     n = p.fold
     tw = p.tower
     diff = SymbolSum(n, (e_map(p), e_map(q)))
-    t = class_trivial(diff, budget)
+    t = class_trivial(diff)
     if iqn_vanishes(tw, n + 1) and t is not None:
         return t
     if t is False:
@@ -139,15 +140,6 @@ def max_separable_linkage(
     return LinkageResult(r, iw, witness)
 
 
-def _subsets(seq, k):
-    if k == 0:
-        yield ()
-        return
-    for i, x in enumerate(seq):
-        for rest in _subsets(seq[i + 1:], k - 1):
-            yield (x,) + rest
-
-
 def separable_link_witness(p, q, r, budget):
     """Common quadratic r-fold with bilinear complements, or None."""
     if r < 1:
@@ -156,7 +148,7 @@ def separable_link_witness(p, q, r, budget):
     tried = 0
     rho_cands = []
     for src in (p, q):
-        for s in _subsets(src.bilinear_slots, r - 1):
+        for s in combinations(src.bilinear_slots, r - 1):
             rho_cands.append(QuadraticPfister(s, src.last_slot))
     pool = list(dict.fromkeys(
         list(p.bilinear_slots) + list(q.bilinear_slots)
@@ -191,7 +183,7 @@ def _bilinear_complement(src, rho, pool, budget):
             return BilinearPfister(())
         return None
     tried = 0
-    for slots in _subsets(list(dict.fromkeys(list(src.bilinear_slots) + pool)), need):
+    for slots in combinations(list(dict.fromkeys(list(src.bilinear_slots) + pool)), need):
         tried += 1
         if tried > max(64, budget // 16):
             return None
@@ -254,7 +246,7 @@ def _insep_witness_search(p, q, k, budget):
         [p.last_slot, q.last_slot, p.last_slot + q.last_slot, p.tower.zero(),
          p.tower.one()]
     ))
-    for slots in _subsets(slot_pool, k):
+    for slots in combinations(slot_pool, k):
         common = BilinearPfister(tuple(slots))
         comp_p = _quadratic_complement(p, common, last_pool)
         if comp_p is None:
@@ -277,7 +269,7 @@ def _quadratic_complement(src, common, last_pool):
         return None
     extra = need - 1
     slot_cands = list(dict.fromkeys(list(src.bilinear_slots) + list(common.slots)))
-    for slots in _subsets(slot_cands, extra):
+    for slots in combinations(slot_cands, extra):
         for last in last_pool:
             cand = QuadraticPfister(common.slots + tuple(slots), last)
             if pfisters_isometric(src, cand) is True:
@@ -529,7 +521,7 @@ def pfister_pair_decompose(
         raise UndecidableInstance("input form undecidable")
     if verdict.is_isotropic:
         raise ValueError("decomposition expects an anisotropic input")
-    member = in_iqn(f, n, budget)
+    member = in_iqn(f, n)
     if member is False:
         raise ValueError(f"form is not in the degree-{n} subgroup")
     dims = {2 ** n, 2 ** (n + 1)}
@@ -558,7 +550,7 @@ def pfister_pair_decompose(
                 "form": str(f),
             },
         )
-    psi_ok = rest.dim == 0 or in_iqn(rest, n + 1, budget)
+    psi_ok = rest.dim == 0 or in_iqn(rest, n + 1)
     report = {
         "route": "class merge",
         "psi_kernel_dim": rest.dim,

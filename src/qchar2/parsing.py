@@ -117,7 +117,10 @@ def _parse_term(sc: _Scanner, tw: FieldTower) -> FieldElement:
             value = value * _parse_power(sc, tw)
         elif sc.peek() == "/":
             sc.take("/")
-            value = value / _parse_power(sc, tw)
+            divisor = _parse_power(sc, tw)
+            if divisor.is_zero():
+                raise ParseError("division by zero", sc.text, sc.pos)
+            value = value / divisor
         else:
             return value
 
@@ -129,7 +132,10 @@ def _parse_power(sc: _Scanner, tw: FieldTower) -> FieldElement:
     # expressions a bare '^' is the wedge separator
     if re.match(r"\^\s*-?\d", sc.text[sc.pos:]):
         sc.take("^")
-        return base ** sc.integer()
+        exponent = sc.integer()
+        if exponent < 0 and base.is_zero():
+            raise ParseError("negative power of zero", sc.text, sc.pos)
+        return base ** exponent
     return base
 
 

@@ -116,12 +116,12 @@ def suite_invariance(tw: FieldTower, samples: int = 100, seed: int = 0,
         dim = 2 * (2 + sampler.rng.randrange(2))
         base = sampler.nonsingular_form(dim)
         ref_arf = arf(base).reduced
-        ref_cliff = clifford_trivial(clifford(base), budget)
+        ref_cliff = clifford_trivial(clifford(base))
         g = sampler.rechain(base, moves=8)
         if arf(g).reduced != ref_arf:
             failures.append(_fail("refutation", instance=str(base), moved=str(g),
                                   invariant="arf"))
-        got = clifford_trivial(clifford(g), budget)
+        got = clifford_trivial(clifford(g))
         if ref_cliff is not None and got is not None and got != ref_cliff:
             failures.append(_fail("refutation", instance=str(base), moved=str(g),
                                   invariant="clifford"))
@@ -298,7 +298,7 @@ def suite_symbol_bound(tw: FieldTower = F2TT, samples: int = 100, seed: int = 0,
                 failures.append(_fail("refutation", instance=str(s),
                                       count=len(out.symbols), bound=bound))
                 continue
-            same = class_trivial(s + out, budget)
+            same = class_trivial(s + out)
             if same is False:
                 failures.append(_fail("refutation", instance=str(s),
                                       rewritten=str(out)))
@@ -337,7 +337,7 @@ def suite_length_pipeline(tw: FieldTower = F2TT, samples: int = 50, seed: int = 
             exhausted += 1
             failures.append(_fail("exhausted", instance=str(f), error=str(exc)))
             continue
-        check = class_trivial(out + clifford(f).to_symbol_sum(), budget)
+        check = class_trivial(out + clifford(f).to_symbol_sum())
         if check is not True:
             failures.append(_fail("refutation", instance=str(f),
                                   decomposition=str(out)))

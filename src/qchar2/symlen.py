@@ -260,7 +260,7 @@ def wedge_decompose(class_sum: SymbolSum, slots, budget: int = 100000, extra_poo
     """
     n = class_sum.degree
     if not slots:
-        if class_trivial(class_sum, budget) is True:
+        if class_trivial(class_sum) is True:
             return []
         raise SearchExhausted("no slots and a nontrivial class", {"slots": 0})
     tw = slots[0].tower
@@ -287,7 +287,7 @@ def wedge_decompose(class_sum: SymbolSum, slots, budget: int = 100000, extra_poo
         if tried > budget:
             break
         diff = class_sum + wedge_with(assignment, slots, degree=n)
-        if class_trivial(diff, budget) is True:
+        if class_trivial(diff) is True:
             return list(assignment)
     raise SearchExhausted(
         "wedge decomposition not found in the searched pool",
@@ -340,7 +340,7 @@ def class_decompose(
     """
     if n < 2:
         raise ValueError("decomposition starts at degree 2")
-    member = in_iqn(f, n, budget)
+    member = in_iqn(f, n)
     if member is False:
         raise UndecidableClass(f"form is not in the degree-{n} subgroup")
     dec = witt_decompose(f)
@@ -350,7 +350,7 @@ def class_decompose(
     if n == 2:
         target = clifford(f).to_symbol_sum()
         out = _decompose_degree_two(kernel, budget)
-        check = class_trivial(out + target, budget)
+        check = class_trivial(out + target)
         if check is not True:
             raise UndecidableClass("decomposition failed its final verification")
         return out
@@ -363,7 +363,7 @@ def class_decompose(
     sym = _pfister_slot_recovery(kernel, n, budget)
     out = simplify(SymbolSum(n, (sym,)))
     if class_hint is not None:
-        check = class_trivial(out + class_hint, budget)
+        check = class_trivial(out + class_hint)
         if check is not True:
             raise UndecidableClass("recovered class disagrees with the hint")
     return out

@@ -81,12 +81,6 @@ def _iso_exact(f: QuadraticForm, v) -> IsotropyVerdict:
     )
 
 
-def _hensel_level(qv, qu, b):
-    # the lifting argument only involves the three values on the line
-    # v + lambda*u; their own outermost variable is where Hensel runs
-    return max(qv.level, qu.level, b.level)
-
-
 def hensel_pair_applies(f: QuadraticForm, v, u) -> bool:
     """val(q(v)) + val(q(u)) > 2 val(B(v,u)) at the outermost level of the
     three values.
@@ -96,18 +90,29 @@ def hensel_pair_applies(f: QuadraticForm, v, u) -> bool:
     kappa^2 * eps + kappa + 1 = 0 with val(eps) > 0, solvable by Hensel.
     """
     qv = f.evaluate(v)
-    if qv.is_zero():
-        return False  # exact case, handled elsewhere
+    # q(v) = 0 is the exact case, handled elsewhere
+    return not qv.is_zero() and _hensel_line(f, v, u, qv) is not None
+
+
+def _hensel_line(f: QuadraticForm, v, u, qv):
+    """For q(v) != 0: (B(v,u), q(u), level) when the line v + lambda*u
+    carries a zero of q over the completion, else None.
+
+    level is None when q(u) = 0, where lambda = q(v)/B is an exact zero.
+    Otherwise it is the level at which the Hensel inequality holds.
+    """
     b = f.polar(v, u)
     if b.is_zero():
-        return False
+        return None
     qu = f.evaluate(u)
     if qu.is_zero():
-        return True  # lambda = q(v)/B solves exactly; caller builds the witness
-    level = _hensel_level(qv, qu, b)
-    if level == 0:
-        return False
-    return qv.valuation(level) + qu.valuation(level) > 2 * b.valuation(level)
+        return b, qu, None
+    # the lifting argument only involves the three values on the line
+    # v + lambda*u; their own outermost variable is where Hensel runs
+    level = max(qv.level, qu.level, b.level)
+    if level == 0 or not qv.valuation(level) + qu.valuation(level) > 2 * b.valuation(level):
+        return None
+    return b, qu, level
 
 
 def _iso_from_pair(f: QuadraticForm, v, u) -> IsotropyVerdict | None:
@@ -117,19 +122,13 @@ def _iso_from_pair(f: QuadraticForm, v, u) -> IsotropyVerdict | None:
         if any(not x.is_zero() for x in v):
             return _iso_exact(f, v)
         return None
-    b = f.polar(v, u)
-    if b.is_zero():
+    line = _hensel_line(f, v, u, qv)
+    if line is None:
         return None
-    qu = f.evaluate(u)
-    if qu.is_zero():
+    b, qu, level = line
+    if level is None:
         lam = qv / b
-        w = tuple(x + lam * y for x, y in zip(v, u))
-        return _iso_exact(f, w)
-    level = _hensel_level(qv, qu, b)
-    if level == 0:
-        return None
-    if not qv.valuation(level) + qu.valuation(level) > 2 * b.valuation(level):
-        return None
+        return _iso_exact(f, tuple(x + lam * y for x, y in zip(v, u)))
     cert = {
         "rule": "hensel-pair",
         "level": level,
@@ -174,6 +173,31 @@ def _form_level(f: QuadraticForm) -> int:
     for c in f.quasilinear:
         level = max(level, c.level)
     return level
+
+
+def _springer_split(tw, pairs, ql, level):
+    """The Springer split f = f1 + t*f2 of normalized slots at `level`.
+
+    `pairs` and the quasilinear entries `ql` have b-slots (entries) that
+    are units or t times units; each goes to the unit or the t part.
+    Returns ((pair indices, residue form f1), (pair indices, residue
+    form f2)).
+    """
+    t = tw.gen(level)
+    # index 0 collects the unit part, index 1 the t part
+    idx, res, ql_res = ([], []), ([], []), ([], [])
+    for i, (b, a) in enumerate(pairs):
+        odd = b.valuation(level) != 0
+        idx[odd].append(i)
+        res[odd].append(((b / t if odd else b).residue(level), a.residue(level)))
+    for c in ql:
+        odd = c.valuation(level) != 0
+        ql_res[odd].append((c / t if odd else c).residue(level))
+    return tuple((idx[k], QuadraticForm(tw, tuple(res[k]), tuple(ql_res[k]))) for k in (0, 1))
+
+
+def _pair_strs(pairs):
+    return [[str(b), str(a)] for b, a in pairs]
 
 
 # -- the decider -------------------------------------------------------------------
@@ -225,7 +249,7 @@ def _embed_verdict(f, verdict, offset, total, subform):
     # wrap anything else so re-verification decides the subform afresh
     cert = {
         "rule": "subform-isotropy",
-        "pairs": [[str(b), str(a)] for b, a in subform.pairs],
+        "pairs": _pair_strs(subform.pairs),
         "quasilinear": [str(c) for c in subform.quasilinear],
         "inner": verdict.certificate,
     }
@@ -272,10 +296,9 @@ def _isotropy_nonsingular(f: QuadraticForm, budget: int) -> IsotropyVerdict:
     for i, (b, a) in enumerate(f.pairs):
         r = wp_reduce(a)
         if r.is_in_wp:
-            if r.correction_exact:
-                v = _pad(tw, (r.correction, tw.one()), f.dim, 2 * i)
-                return _iso_exact(f, v)
             v = _pad(tw, (r.correction, tw.one()), f.dim, 2 * i)
+            if r.correction_exact:
+                return _iso_exact(f, v)
             u = _pad(tw, (tw.one(), tw.zero()), f.dim, 2 * i)
             got = _iso_from_pair(f, v, u)
             if got is not None:
@@ -308,22 +331,12 @@ def _isotropy_nonsingular(f: QuadraticForm, budget: int) -> IsotropyVerdict:
             {"reason": "wild mixture", "wild_pairs": wild, "budget": budget},
         )
 
-    unit_idx = [i for i, (b, _) in enumerate(pairs) if b.valuation(level) == 0]
-    t_idx = [i for i in range(len(pairs)) if i not in unit_idx]
-    t = tw.gen(level)
-    unit_pairs = tuple(
-        (pairs[i][0].residue(level), pairs[i][1].residue(level)) for i in unit_idx
-    )
-    t_pairs = tuple(
-        ((pairs[i][0] / t).residue(level), pairs[i][1].residue(level)) for i in t_idx
-    )
-
+    (unit_idx, unit_form), (t_idx, t_form) = _springer_split(tw, pairs, (), level)
     certs = {}
-    for idx_list, res_pairs, part in ((unit_idx, unit_pairs, "unit"), (t_idx, t_pairs, "t")):
-        if not res_pairs:
+    for idx_list, res_form, part in ((unit_idx, unit_form, "unit"), (t_idx, t_form, "t")):
+        if res_form.dim == 0:
             certs[part] = {"rule": "empty"}
             continue
-        res_form = QuadraticForm(tw, res_pairs)
         sub = _isotropy_nonsingular(res_form, budget)
         if sub.is_isotropic:
             lifted = _lift_residue_isotropy(f, sub, res_form, idx_list, level, part)
@@ -342,8 +355,8 @@ def _isotropy_nonsingular(f: QuadraticForm, budget: int) -> IsotropyVerdict:
     cert = {
         "rule": "springer",
         "level": level,
-        "unit_part": {"pairs": [[str(b), str(a)] for b, a in unit_pairs], "certificate": certs["unit"]},
-        "t_part": {"pairs": [[str(b), str(a)] for b, a in t_pairs], "certificate": certs["t"]},
+        "unit_part": {"pairs": _pair_strs(unit_form.pairs), "certificate": certs["unit"]},
+        "t_part": {"pairs": _pair_strs(t_form.pairs), "certificate": certs["t"]},
     }
     return IsotropyVerdict("anisotropic", None, cert)
 
@@ -380,7 +393,7 @@ def _lift_residue_isotropy(f, sub, res_form, idx_list, level, part):
         "rule": "residue-lift",
         "level": level,
         "part": part,
-        "residue_pairs": [[str(b), str(a)] for b, a in res_form.pairs],
+        "residue_pairs": _pair_strs(res_form.pairs),
         "inner": sub.certificate,
     }
     return IsotropyVerdict("isotropic", None, cert)
@@ -420,24 +433,8 @@ def _isotropy_mixed(f: QuadraticForm, budget: int) -> IsotropyVerdict:
     pairs, wild = _normalize_pairs(f, level)
     ql = tuple(strip_even_power(c, level) for c in f.quasilinear)
     if not wild:
-        np_ = len(pairs)
-        t = tw.gen(level)
-        unit_idx = [i for i, (b, _) in enumerate(pairs) if b.valuation(level) == 0]
-        t_idx = [i for i in range(np_) if i not in unit_idx]
-        qlu_idx = [j for j, c in enumerate(ql) if c.valuation(level) == 0]
-        qlt_idx = [j for j in range(len(ql)) if j not in qlu_idx]
-        unit_form = QuadraticForm(
-            tw,
-            tuple((pairs[i][0].residue(level), pairs[i][1].residue(level)) for i in unit_idx),
-            tuple(ql[j].residue(level) for j in qlu_idx),
-        )
-        t_form = QuadraticForm(
-            tw,
-            tuple(((pairs[i][0] / t).residue(level), pairs[i][1].residue(level)) for i in t_idx),
-            tuple((ql[j] / t).residue(level) for j in qlt_idx),
-        )
         subs = []
-        for g, part in ((unit_form, "unit"), (t_form, "t")):
+        for (_, g), part in zip(_springer_split(tw, pairs, ql, level), ("unit", "t")):
             if g.dim == 0:
                 subs.append(({"rule": "empty"}, part))
                 continue
@@ -555,23 +552,13 @@ def _decompose_pairs(f: QuadraticForm, steps) -> tuple[int, tuple]:
         raise UndecidableInstance(
             f"wild mixture of {len(pairs)} pairs at level {level}"
         )
-    steps.append({
-        "step": "normalize", "level": level,
-        "pairs": [[str(b), str(a)] for b, a in pairs],
-    })
-    t = tw.gen(level)
-    unit_idx = [i for i, (b, _) in enumerate(pairs) if b.valuation(level) == 0]
-    t_idx = [i for i in range(len(pairs)) if i not in unit_idx]
-    unit_form = QuadraticForm(
-        tw, tuple((pairs[i][0].residue(level), pairs[i][1].residue(level)) for i in unit_idx)
-    )
-    t_form = QuadraticForm(
-        tw, tuple(((pairs[i][0] / t).residue(level), pairs[i][1].residue(level)) for i in t_idx)
-    )
+    steps.append({"step": "normalize", "level": level, "pairs": _pair_strs(pairs)})
+    (_, unit_form), (_, t_form) = _springer_split(tw, pairs, (), level)
     steps.append({"step": "springer-split", "level": level,
                   "unit_dim": unit_form.dim, "t_dim": t_form.dim})
     i1, k1 = _decompose_pairs(unit_form, steps)
     i2, k2 = _decompose_pairs(t_form, steps)
+    t = tw.gen(level)
     kernel = k1 + tuple((t * b, a) for b, a in k2)
     return i1 + i2, kernel
 
@@ -592,7 +579,7 @@ def _finite_decompose(f: QuadraticForm, steps) -> tuple[int, tuple]:
     steps.append({
         "step": "finite-merge",
         "hyperbolic_pairs": index,
-        "kernel": [[str(b), str(a)] for b, a in kernel],
+        "kernel": _pair_strs(kernel),
     })
     return index, kernel
 
@@ -613,10 +600,6 @@ def witt_equivalent(f: QuadraticForm, g: QuadraticForm) -> bool:
     if f.quasilinear or g.quasilinear:
         raise SingularInput("Witt equivalence implemented for nonsingular forms")
     return is_hyperbolic(orth_sum(f, g))
-
-
-def anisotropic_kernel(f: QuadraticForm) -> QuadraticForm:
-    return witt_decompose(f).kernel
 
 
 # -- brute-force oracle ----------------------------------------------------------------
@@ -794,7 +777,7 @@ def _verify_cert(f: QuadraticForm, cert: dict, kind: str) -> bool:
         return False
     # anisotropic side
     if rule == "empty":
-        return f.dim == 0 or True
+        return f.dim == 0
     if rule == "base-nonwp":
         a = parse_element(tw, cert["a"])
         return not wp_reduce(a).is_in_wp

@@ -1,7 +1,9 @@
 """CLI dispatch, exit codes, report determinism, expression round trips."""
 
+import hashlib
 import json
 
+import pytest
 
 from qchar2.cli import main
 
@@ -118,6 +120,40 @@ class TestExitCodes:
         code = main(["witt"])
         assert code == 2
 
+    @pytest.mark.parametrize("form", ["[1,1/0]", "[1,0^-1]"])
+    def test_zero_division_in_expression(self, capsys, form):
+        code = main(["isotropy", "--field", "F2((t))", form])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_non_integer_u_value(self, capsys):
+        code = main(["symlen", "bound", "--u", "8,x", "--n", "3"])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_malformed_budget_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("QCHAR2_BUDGET", "lots")
+        code = main(["isotropy", "--field", "F2((t))", "[1,1]"])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        # an explicit --budget does not read the variable
+        assert main(["isotropy", "--field", "F2((t))", "[1,1]", "--budget", "64"]) == 0
+
+
+class TestVerifyBudget:
+    def test_budget_equal_to_default_is_honoured(self, capsys):
+        code, out = run(capsys, "verify", "oracle", "--samples", "3", "--budget", "20000",
+                        "--format", "json", "--no-meta")
+        assert code == 0
+        assert json.loads(out)["suites"][0]["stats"]["budget"] == 20000
+
+    def test_no_budget_keeps_the_suite_budget(self, capsys, monkeypatch):
+        monkeypatch.setenv("QCHAR2_BUDGET", "64")
+        code, out = run(capsys, "verify", "oracle", "--samples", "3",
+                        "--format", "json", "--no-meta")
+        assert code == 0
+        assert json.loads(out)["suites"][0]["stats"]["budget"] == 100000
+
 
 class TestDeterminism:
     def test_byte_identical_reports(self, capsys):
@@ -127,6 +163,14 @@ class TestDeterminism:
         code2, out2 = run(capsys, *argv)
         assert code1 == code2 == 0
         assert out1 == out2
+
+    def test_verify_all_bytes(self, capsys):
+        # the behaviour gate for refactors: the whole suite report is
+        # byte-identical to the recorded one
+        code, out = run(capsys, "verify", "all", "--format", "json", "--no-meta",
+                        "--seed", "0")
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "12e7a400990c705066cf6fef034d46f6bcc005959cc92c08e669197d8f39806e"
 
     def test_report_reparses(self, capsys):
         code, out = run(capsys, "witt", "decompose", "--field", "F2((t))",

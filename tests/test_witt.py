@@ -9,6 +9,7 @@ from qchar2.fields import tower, wp
 from qchar2.forms import QuadraticForm, QuadraticPfister, orth_sum, scale
 from qchar2.parsing import parse_element, parse_form
 from qchar2.witt import (
+    IsotropyVerdict,
     brute_search,
     is_hyperbolic,
     isotropy,
@@ -248,3 +249,16 @@ class TestPfisterDichotomy:
         assert v.is_isotropic and v.witness is not None
         assert f.evaluate(v.witness).is_zero()
         assert is_hyperbolic(f)
+
+
+class TestForgedCertificates:
+    def test_forged_empty_certificate_rejected(self):
+        f = parse_form(F2T, "[1,0]+[1,1]")
+        forged = IsotropyVerdict("anisotropic", None, {"rule": "empty"})
+        assert not verify_certificate(f, forged)
+
+    def test_empty_form_certificate_verifies(self):
+        f = QuadraticForm(F2T, ())
+        v = isotropy(f)
+        assert v.is_anisotropic
+        assert verify_certificate(f, v)
