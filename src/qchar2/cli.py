@@ -5,6 +5,7 @@ outcomes; 2 usage or parse errors; 3 refutation candidates (a theorem
 check failing with a verified counter-instance).  Reports are plain text
 by default and versioned JSON with --format json; identical argv and
 seed produce byte-identical JSON when --no-meta strips the timestamp.
+Each command declares only the options its handler reads.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .parsing import (
     parse_form_expr,
     parse_symbol_sum,
 )
-from .suites import SUITES, run_suite
+from .suites import SUITES, run_suite, suite_takes_budget
 from .symlen import splitting_slots, symbol_length_bound, two_rank_bound
 from .witt import is_hyperbolic, isotropy, witt_decompose, witt_equivalent
 
@@ -52,90 +53,82 @@ def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="qchar2",
         description="Exact quadratic form theory and symbol calculus in characteristic 2.",
-        parents=[output],
     )
     sub = top.add_subparsers(dest="verb", required=True)
+    # a string default goes through `type`, so a malformed QCHAR2_BUDGET
+    # is a usage error of the command that relies on it
+    env_budget = os.environ.get("QCHAR2_BUDGET", "20000")
 
-    def mk(name, **kw):
-        return sub.add_parser(name, parents=[output], conflict_handler="resolve", **kw)
+    def leaf(group, name, field=True, budget=False, **kw):
+        p = group.add_parser(name, parents=[output], **kw)
+        if field:
+            p.add_argument("--field", required=True, help='e.g. "F2((t))" or "F2^2"')
+        if budget:
+            p.add_argument("--budget", type=int, default=env_budget,
+                           help="search budget (default: $QCHAR2_BUDGET, else 20000)")
+        return p
 
-    def common(p):
-        p.add_argument("--field", required=True, help='e.g. "F2((t))" or "F2^2"')
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=None)
-        # a string default goes through `type`, so a malformed
-        # QCHAR2_BUDGET is a usage error of the command that relies on it
-        p.add_argument("--budget", type=int, default=os.environ.get("QCHAR2_BUDGET", "20000"),
-                       help="search budget (default: $QCHAR2_BUDGET, else 20000)")
+    def ops(name, summary):
+        return sub.add_parser(name, help=summary).add_subparsers(dest="op", required=True)
 
-    p = mk("isotropy", help="decide isotropy of a form")
-    common(p)
+    leaf(sub, "isotropy", budget=True, help="decide isotropy of a form").add_argument("form")
+
+    witt = ops("witt", "Witt-group operations")
+    leaf(witt, "isotropy", budget=True).add_argument("form")
+    for op in ("decompose", "index", "hyperbolic"):
+        leaf(witt, op).add_argument("form")
+    p = leaf(witt, "equivalent")
     p.add_argument("form")
+    p.add_argument("other")
 
-    p = mk("witt", help="Witt-group operations")
-    p.add_argument("op", choices=("isotropy", "decompose", "index", "hyperbolic", "equivalent"))
-    common(p)
-    p.add_argument("form")
-    p.add_argument("other", nargs="?")
+    pfister = ops("pfister", "Pfister form operations")
+    for op in ("expand", "hyperbolic", "invariant"):
+        leaf(pfister, op).add_argument("form")
 
-    p = mk("pfister", help="Pfister form operations")
-    p.add_argument("op", choices=("expand", "hyperbolic", "invariant"))
-    common(p)
-    p.add_argument("form")
-
-    p = mk("invariants", help="Arf, Clifford, filtration membership")
-    common(p)
+    p = leaf(sub, "invariants", help="Arf, Clifford, filtration membership")
     p.add_argument("form")
     p.add_argument("--n", type=int, default=None, help="membership degree to test")
 
-    p = mk("symbol", help="symbol-sum operations")
-    p.add_argument("op", choices=("simplify", "trivial", "length", "rewrite"))
-    common(p)
-    p.add_argument("sum")
+    symbol = ops("symbol", "symbol-sum operations")
+    for op in ("simplify", "trivial", "rewrite"):
+        leaf(symbol, op).add_argument("sum")
+    leaf(symbol, "length", budget=True).add_argument("sum")
 
-    p = mk("symlen", help="symbol-length machinery")
-    symsub = p.add_subparsers(dest="op", required=True)
-    pb = symsub.add_parser("bound", parents=[output], conflict_handler="resolve")
-    pb.add_argument("--u", required=True, type=_int_list, help="comma-separated u^2,...,u^n")
-    pb.add_argument("--n", type=int, required=True)
-    pb.add_argument("--rank", type=int, default=None,
-                    help="also report the 2-rank bound for this rank")
-    ps = symsub.add_parser("split", parents=[output], conflict_handler="resolve")
-    common(ps)
-    ps.add_argument("form")
-    ps.add_argument("--n", type=int, required=True)
-    pd = symsub.add_parser("decompose", parents=[output], conflict_handler="resolve")
-    common(pd)
-    pd.add_argument("form")
-    pd.add_argument("--n", type=int, default=2)
+    symlen = ops("symlen", "symbol-length machinery")
+    p = leaf(symlen, "bound", field=False)
+    p.add_argument("--u", required=True, type=_int_list, help="comma-separated u^2,...,u^n")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--rank", type=int, default=None,
+                   help="also report the 2-rank bound for this rank")
+    p = leaf(symlen, "split")
+    p.add_argument("form")
+    p.add_argument("--n", type=int, required=True)
+    p = leaf(symlen, "decompose", budget=True)
+    p.add_argument("form")
+    p.add_argument("--n", type=int, default=2)
 
-    p = mk("linkage", help="linkage of Pfister forms")
-    p.add_argument("op", choices=("max", "check"))
-    common(p)
-    p.add_argument("--p", required=True, dest="p_form")
-    p.add_argument("--q", required=True, dest="q_form")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--inseparable", action="store_true")
+    linkage = ops("linkage", "linkage of Pfister forms")
+    for op in ("max", "check"):
+        p = leaf(linkage, op, budget=True)
+        p.add_argument("--p", required=True, dest="p_form")
+        p.add_argument("--q", required=True, dest="q_form")
+    p.add_argument("--k", type=int, default=None,      # `check` only
+                   help="common fold (default: fold of p minus 1)")
 
-    p = mk("u-invariant", help="u-invariant estimate with evidence")
-    common(p)
+    p = leaf(sub, "u-invariant", help="u-invariant estimate with evidence")
     p.add_argument("--n", type=int, default=1)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=int, default=200)
 
-    p = mk("oracle-check", help="decider vs brute-search consistency")
-    common(p)
-
-    p = mk("verify", help="run a verification suite")
+    p = leaf(sub, "verify", field=False, help="run a verification suite")
     p.add_argument("suite", choices=sorted(SUITES) + ["all"])
     p.add_argument("--field", default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--budget", type=int, default=None,
-                   help="overrides every suite's own budget (default: keep them)")
+                   help="overrides the budget of every suite that searches"
+                        " (default: keep each suite's own)")
     return top
-
-
-def _tower(args):
-    return parse_field(args.field)
 
 
 def _report(args, payload: dict, code: int) -> int:
@@ -190,7 +183,7 @@ def _verdict_code(verdict) -> int:
 
 
 def _run_isotropy(args):
-    tw = _tower(args)
+    tw = parse_field(args.field)
     f = parse_form(tw, args.form)
     verdict = isotropy(f, args.budget)
     payload = {"command": "isotropy", "field": tw.descriptor(), "form": format_form(f)}
@@ -199,7 +192,7 @@ def _run_isotropy(args):
 
 
 def _run_witt(args):
-    tw = _tower(args)
+    tw = parse_field(args.field)
     f = parse_form(tw, args.form)
     payload = {"command": f"witt {args.op}", "field": tw.descriptor(),
                "form": format_form(f)}
@@ -209,8 +202,6 @@ def _run_witt(args):
         payload.update(_verdict_payload(verdict))
         code = _verdict_code(verdict)
     elif args.op == "equivalent":
-        if not args.other:
-            raise ParseError("witt equivalent needs a second form")
         g = parse_form(tw, args.other)
         payload["other"] = format_form(g)
         payload["equivalent"] = witt_equivalent(f, g)
@@ -228,7 +219,7 @@ def _run_witt(args):
 
 
 def _run_pfister(args):
-    tw = _tower(args)
+    tw = parse_field(args.field)
     val = parse_form_expr(tw, args.form)
     if not isinstance(val, QuadraticPfister):
         raise ParseError(f"{args.form!r} is not a Pfister expression")
@@ -248,7 +239,7 @@ def _run_pfister(args):
 
 
 def _run_invariants(args):
-    tw = _tower(args)
+    tw = parse_field(args.field)
     f = parse_form(tw, args.form)
     r = arf(f)
     c = clifford(f)
@@ -272,7 +263,7 @@ def _run_invariants(args):
 def _run_symbol(args):
     from .cohomology import basis_rewrite, class_trivial, simplify, symbol_length, to_differential
 
-    tw = _tower(args)
+    tw = parse_field(args.field)
     s = parse_symbol_sum(tw, args.sum)
     payload = {"command": f"symbol {args.op}", "field": tw.descriptor(),
                "input": format_symbol_sum(s)}
@@ -311,7 +302,7 @@ def _run_symlen(args):
         if args.rank is not None:
             payload["two_rank_bound"] = two_rank_bound(args.rank, args.n)
         return _report(args, payload, EXIT_OK)
-    tw = _tower(args)
+    tw = parse_field(args.field)
     f = parse_form(tw, args.form)
     if args.op == "split":
         from .forms import normalize_presentation
@@ -350,7 +341,7 @@ def _run_symlen(args):
 def _run_linkage(args):
     from .linkage import inseparably_linked, max_separable_linkage
 
-    tw = _tower(args)
+    tw = parse_field(args.field)
     p = parse_form_expr(tw, args.p_form)
     q = parse_form_expr(tw, args.q_form)
     if not isinstance(p, QuadraticPfister) or not isinstance(q, QuadraticPfister):
@@ -380,10 +371,8 @@ def _run_linkage(args):
 def _run_u_invariant(args):
     from .linkage import u_invariant_estimate
 
-    tw = _tower(args)
-    samples = args.samples if args.samples is not None else 200
-    est = u_invariant_estimate(tw, args.n, samples=samples, seed=args.seed,
-                               budget=args.budget)
+    tw = parse_field(args.field)
+    est = u_invariant_estimate(tw, args.n, samples=args.samples, seed=args.seed)
     payload = {
         "command": "u-invariant",
         "field": tw.descriptor(),
@@ -394,16 +383,6 @@ def _run_u_invariant(args):
         "evidence": est.evidence,
     }
     return _report(args, payload, EXIT_OK)
-
-
-def _run_oracle_check(args):
-    tw = _tower(args)
-    samples = args.samples if args.samples is not None else 100
-    rep = run_suite("oracle", tw, samples=samples, seed=args.seed, budget=args.budget)
-    payload = {"command": "oracle-check", **rep.to_json()}
-    code = EXIT_OK if rep.passed else (
-        EXIT_REFUTATION if rep.has_refutation else EXIT_UNDECIDED)
-    return _report(args, payload, code)
 
 
 def _run_verify(args):
@@ -421,7 +400,10 @@ def _run_verify(args):
     reports = []
     worst = EXIT_OK
     for name in names:
-        rep = run_suite(name, tw, samples=args.samples, seed=args.seed, budget=args.budget)
+        # `verify all --budget` reaches the suites that search; naming a
+        # suite that does not is an error raised by run_suite
+        budget = args.budget if args.suite != "all" or suite_takes_budget(name) else None
+        rep = run_suite(name, tw, samples=args.samples, seed=args.seed, budget=budget)
         reports.append(rep)
         if rep.has_refutation:
             worst = max(worst, EXIT_REFUTATION)
@@ -444,7 +426,6 @@ HANDLERS = {
     "symlen": _run_symlen,
     "linkage": _run_linkage,
     "u-invariant": _run_u_invariant,
-    "oracle-check": _run_oracle_check,
     "verify": _run_verify,
 }
 

@@ -295,7 +295,8 @@ def symbol_residue(s: SymbolSum, level: int) -> tuple[SymbolSum, SymbolSum]:
                 decomp.append((True, nb / nb.tower.monomial(level, 1)))
         if a0.is_zero():
             continue
-        for choice in _expansions(decomp):
+        # per slot: "u" always, and "t" too when the slot carries an odd t-power
+        for choice in product(*(("u", "t") if has_t else ("u",) for has_t, _ in decomp)):
             t_count = sum(1 for kind in choice if kind == "t")
             if t_count > 1:
                 continue
@@ -313,20 +314,6 @@ def symbol_residue(s: SymbolSum, level: int) -> tuple[SymbolSum, SymbolSum]:
         simplify(SymbolSum(s.degree, tuple(unram))),
         simplify(SymbolSum(s.degree - 1, tuple(ram))),
     )
-
-
-def _expansions(decomp):
-    # per slot: "u" always possible; "t" additionally when the slot carries
-    # an odd t-power
-    choices = [()]
-    for has_t, _u in decomp:
-        new = []
-        for c in choices:
-            new.append(c + ("u",))
-            if has_t:
-                new.append(c + ("t",))
-        choices = new
-    return choices
 
 
 # -- triviality ------------------------------------------------------------------------

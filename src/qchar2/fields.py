@@ -757,11 +757,6 @@ def wp_reduce(x: FieldElement, precision: int = DEFAULT_WP_PRECISION) -> WpNorma
     return WpNormalForm(tw.zero(), True, correction + tw.base_element(tw._wp_preimage[bits]), exact)
 
 
-def in_wp(x: FieldElement) -> bool:
-    """Exact membership test for wp of the complete tower."""
-    return wp_reduce(x).is_in_wp
-
-
 def exact_tail_reduce(a: FieldElement, level: int):
     """Exact Artin-Schreier reduction of the negative t_level part.
 

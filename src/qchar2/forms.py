@@ -165,10 +165,6 @@ def tensor(bp: BilinearPfister, f: QuadraticForm) -> QuadraticForm:
     return out
 
 
-def hyperbolic_plane(tw: FieldTower) -> QuadraticForm:
-    return QuadraticForm(tw, ((tw.one(), tw.zero()),))
-
-
 def arf_sum(f: QuadraticForm) -> FieldElement:
     if not f.is_nonsingular():
         raise SingularInput("Arf needs a nonsingular form")
@@ -397,8 +393,7 @@ def rescramble(f: QuadraticForm, t) -> QuadraticForm:
 def split_plane(f: QuadraticForm, v) -> QuadraticForm:
     """Split a hyperbolic plane off a nonsingular form at an exact zero v.
 
-    Returns the complement presentation; f is isometric to
-    hyperbolic_plane + result.
+    Returns the complement presentation; f is isometric to [1,0] + result.
     """
     tw = f.tower
     if not f.evaluate(v).is_zero():

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cohomology import Symbol, SymbolSum, class_trivial, simplify
-from .errors import SingularInput
+from .errors import HypothesisViolated, SingularInput
 from .fields import FieldTower, WpNormalForm, wp_reduce
 from .forms import QuadraticForm, QuadraticPfister, arf_sum
 from .witt import is_hyperbolic
@@ -97,7 +97,7 @@ def in_iqn(f: QuadraticForm, n: int):
     if not f.is_nonsingular():
         raise SingularInput("membership test needs a nonsingular form")
     if n < 1:
-        raise ValueError("degree must be >= 1")
+        raise HypothesisViolated("degree must be >= 1")
     if n == 1:
         return True
     arf_ok = arf(f).is_in_wp

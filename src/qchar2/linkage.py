@@ -15,6 +15,7 @@ from itertools import combinations
 
 from .cohomology import SymbolSum, class_trivial, simplify
 from .errors import (
+    HypothesisViolated,
     LinkageHypothesisFailed,
     OracleFailure,
     SearchExhausted,
@@ -126,7 +127,8 @@ def max_separable_linkage(
         if not verdict.decided:
             raise UndecidableInstance(f"{name} form undecidable")
         if verdict.is_isotropic:
-            raise ValueError(f"{name} form is isotropic; linkage indices need anisotropic inputs")
+            raise HypothesisViolated(
+                f"{name} form is isotropic; linkage indices need anisotropic inputs")
     iw = witt_index(orth_sum(ep, eq))
     r = iw.bit_length() - 1
     if 1 << r != iw:
@@ -378,9 +380,7 @@ def canonical_witness(tw: FieldTower, fold: int | None = None) -> QuadraticPfist
     return QuadraticPfister(slots, tw.trace_one_element())
 
 
-def u_invariant_estimate(
-    tw: FieldTower, n: int, samples: int = 200, seed: int = 0, budget: int = 4096
-) -> UEstimate:
+def u_invariant_estimate(tw: FieldTower, n: int, samples: int = 200, seed: int = 0) -> UEstimate:
     """Claimed u^n with the witness family and sampled isotropy evidence.
 
     The claim is 2^(m+1) for n <= m+1 (anisotropic witness of that
@@ -516,7 +516,7 @@ def pfister_pair_decompose(
     candidate (dims_ok False, full instance dump), never silently fixed.
     """
     tw = f.tower
-    verdict = isotropy(f)
+    verdict = isotropy(f, budget)
     if not verdict.decided:
         raise UndecidableInstance("input form undecidable")
     if verdict.is_isotropic:
@@ -622,9 +622,7 @@ class DEstimate:
     evidence: dict
 
 
-def d_invariant_estimate(
-    tw: FieldTower, n: int, samples: int = 100, seed: int = 0, budget: int = 4096
-) -> DEstimate:
+def d_invariant_estimate(tw: FieldTower, n: int, samples: int = 100, seed: int = 0) -> DEstimate:
     """Sampled maximum anisotropic dimension of (degree-n member) + [1, a].
 
     For n = 2 this samples the plain u-invariant; for n = 3 the invariant
@@ -806,9 +804,7 @@ def square_completion_isotropy(f: QuadraticForm, budget: int):
 # -- sampled linkage evidence ---------------------------------------------------------
 
 
-def sample_linkage_evidence(
-    tw: FieldTower, n: int, samples: int = 50, seed: int = 0, budget: int = 4096
-) -> dict:
+def sample_linkage_evidence(tw: FieldTower, n: int, samples: int = 50, seed: int = 0) -> dict:
     """Evidence record for "every two fold-n forms are separably
     (n-1)-linked": sampled pairs, observed linkage indices."""
     from .sampling import Sampler

@@ -272,9 +272,17 @@ def _parse_form_product(sc: _Scanner, tw: FieldTower):
     from .forms import BilinearPfister, QuadraticForm, QuadraticPfister, scale, tensor
 
     factors = [_parse_form_atom(sc, tw)]
-    while sc.peek() == "*":
-        sc.take("*")
-        factors.append(_parse_form_atom(sc, tw))
+    while sc.peek() in ("*", "/"):
+        if sc.take("*"):
+            factors.append(_parse_form_atom(sc, tw))
+            continue
+        sc.take("/")
+        divisor = _parse_form_atom(sc, tw)
+        if not (isinstance(factors[-1], FieldElement) and isinstance(divisor, FieldElement)):
+            raise ParseError("only scalars can be divided", sc.text, sc.pos)
+        if divisor.is_zero():
+            raise ParseError("division by zero", sc.text, sc.pos)
+        factors[-1] = factors[-1] / divisor
     value = factors[-1]
     for left in reversed(factors[:-1]):
         if isinstance(left, FieldElement):

@@ -9,11 +9,13 @@ honest resource exhaustion (undecided instances, search budgets).
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 
 from .cohomology import class_trivial
 from .errors import (
     LinkageHypothesisFailed,
+    QChar2Error,
     SearchExhausted,
     UndecidableClass,
     UndecidableInstance,
@@ -76,7 +78,7 @@ def _fail(kind: str, **data) -> dict:
 # -- 1: Pfister dichotomy ---------------------------------------------------------
 
 
-def suite_pfister_dichotomy(tw: FieldTower, samples: int = 200, seed: int = 0,
+def suite_pfister_dichotomy(tw: FieldTower = F2T, samples: int = 200, seed: int = 0,
                             budget: int = 4096) -> SuiteReport:
     """isotropic <=> hyperbolic on random tame Pfister expansions."""
     sampler = Sampler(tw, seed)
@@ -107,8 +109,7 @@ def suite_pfister_dichotomy(tw: FieldTower, samples: int = 200, seed: int = 0,
 # -- 2: invariant well-definedness ---------------------------------------------------
 
 
-def suite_invariance(tw: FieldTower, samples: int = 100, seed: int = 0,
-                     budget: int = 4096) -> SuiteReport:
+def suite_invariance(tw: FieldTower = F2T, samples: int = 100, seed: int = 0) -> SuiteReport:
     """Arf class and Clifford triviality survive elementary-move rechains."""
     sampler = Sampler(tw, seed)
     failures = []
@@ -136,7 +137,7 @@ def suite_invariance(tw: FieldTower, samples: int = 100, seed: int = 0,
 # -- 3: oracle consistency -------------------------------------------------------------
 
 
-def suite_oracle(tw: FieldTower, samples: int = 500, seed: int = 0,
+def suite_oracle(tw: FieldTower = F2T, samples: int = 500, seed: int = 0,
                  budget: int = 100000) -> SuiteReport:
     """The residue decider never calls a form anisotropic when the brute
     oracle can produce a witness."""
@@ -146,7 +147,7 @@ def suite_oracle(tw: FieldTower, samples: int = 500, seed: int = 0,
     for i in range(samples):
         dim = 2 * (1 + sampler.rng.randrange(3))
         f = sampler.nonsingular_form(dim)
-        verdict = isotropy(f)
+        verdict = isotropy(f, budget)
         if not verdict.decided:
             failures.append(_fail("undecided", instance=str(f)))
             continue
@@ -170,8 +171,7 @@ def suite_oracle(tw: FieldTower, samples: int = 500, seed: int = 0,
 # -- 4: minimal-dimension desk check ------------------------------------------------
 
 
-def suite_hauptsatz(tw: FieldTower, samples: int = 100, seed: int = 0,
-                    budget: int = 4096) -> SuiteReport:
+def suite_hauptsatz(tw: FieldTower = F2T, samples: int = 100, seed: int = 0) -> SuiteReport:
     """Anisotropic kernels of degree-n members have dimension 0 or >= 2^n."""
     sampler = Sampler(tw, seed)
     failures = []
@@ -202,8 +202,7 @@ def suite_hauptsatz(tw: FieldTower, samples: int = 100, seed: int = 0,
 # -- 5: Witt-index criterion ------------------------------------------------------------
 
 
-def suite_wittindex(tw: FieldTower, samples: int = 100, seed: int = 0,
-                    budget: int = 4096) -> SuiteReport:
+def suite_wittindex(tw: FieldTower = F2TT, samples: int = 100, seed: int = 0) -> SuiteReport:
     """Constructed r-linked pairs: i_W(p + q) = 2^(max linkage) >= 2^r."""
     sampler = Sampler(tw, seed)
     failures = []
@@ -246,13 +245,13 @@ def suite_wittindex(tw: FieldTower, samples: int = 100, seed: int = 0,
 # -- 6: u-invariant witnesses -------------------------------------------------------
 
 
-def suite_u_witness(tw: FieldTower, samples: int = 200, seed: int = 0,
+def suite_u_witness(tw: FieldTower = F2T, samples: int = 200, seed: int = 0,
                     budget: int = 4096) -> SuiteReport:
     """Canonical witness anisotropic; all sampled forms two dimensions up
     are isotropic."""
     failures = []
     witness = canonical_witness(tw)
-    wv = isotropy(witness.expand())
+    wv = isotropy(witness.expand(), budget)
     if not wv.is_anisotropic:
         failures.append(_fail("refutation", instance=str(witness),
                               expected="anisotropic"))
@@ -278,8 +277,7 @@ def suite_u_witness(tw: FieldTower, samples: int = 200, seed: int = 0,
 # -- 7: basis-coordinate bound ----------------------------------------------------------
 
 
-def suite_symbol_bound(tw: FieldTower = F2TT, samples: int = 100, seed: int = 0,
-                       budget: int = 4096) -> SuiteReport:
+def suite_symbol_bound(tw: FieldTower = F2TT, samples: int = 100, seed: int = 0) -> SuiteReport:
     """Rewrites over the 2-basis stay within binom(m, n-1) symbols and
     preserve the class."""
     from .cohomology import basis_rewrite, to_differential
@@ -453,10 +451,9 @@ def suite_wittlemma(tw: FieldTower = F2T, samples: int = 50, seed: int = 0,
     )
 
 
-def suite_theoremd(tw: FieldTower = F2T, samples: int = 100, seed: int = 0,
-                   budget: int = 4096) -> SuiteReport:
+def suite_theoremd(tw: FieldTower = F2T, samples: int = 100, seed: int = 0) -> SuiteReport:
     """Sampled d-invariant agrees with the sampled u-invariant."""
-    est = d_invariant_estimate(tw, 2, samples=samples, seed=seed, budget=budget)
+    est = d_invariant_estimate(tw, 2, samples=samples, seed=seed)
     u_est = u_invariant_estimate(tw, 2, samples=min(50, samples), seed=seed)
     failures = []
     if est.value != u_est.value:
@@ -533,36 +530,25 @@ SUITES = {
     "lift": suite_lift,
 }
 
-SUITE_DEFAULT_FIELD = {
-    "pfister-dichotomy": F2T,
-    "invariance": F2T,
-    "oracle": F2T,
-    "hauptsatz": F2T,
-    "wittindex": F2TT,
-    "u-witness": F2T,
-    "symbol-bound": F2TT,
-    "length-pipeline": F2TT,
-    "theoremu": F2T,
-    "insep": F2T,
-    "coru": F2T,
-    "wittlemma": F2T,
-    "theoremd": F2T,
-    "lift": F2TT,
-}
+
+def suite_takes_budget(name: str) -> bool:
+    """Whether the suite runs a bounded search, i.e. accepts a budget."""
+    return "budget" in inspect.signature(SUITES[name]).parameters
 
 
 def run_suite(name: str, tw: FieldTower | None = None, samples: int | None = None,
               seed: int = 0, budget: int | None = None) -> SuiteReport:
+    """Run one suite; `tw`, `samples` and `budget` override the suite's own
+    defaults only when given."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; available: {sorted(SUITES)}")
-    fn = SUITES[name]
     kwargs = {"seed": seed}
     if tw is not None:
         kwargs["tw"] = tw
-    else:
-        kwargs["tw"] = SUITE_DEFAULT_FIELD[name]
     if samples is not None:
         kwargs["samples"] = samples
     if budget is not None:
+        if not suite_takes_budget(name):
+            raise QChar2Error(f"suite {name!r} runs no bounded search and takes no budget")
         kwargs["budget"] = budget
-    return fn(**kwargs)
+    return SUITES[name](**kwargs)

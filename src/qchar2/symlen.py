@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations, product
 
 from .cohomology import (
     Symbol,
@@ -154,8 +155,6 @@ class InseparableExtension:
 
 def extension_isotropy_search(f: QuadraticForm, ext: InseparableExtension, budget: int):
     """Small brute search for a zero of f over the extension; exact."""
-    from itertools import product
-
     tw = ext.tower
     scalars = [tw.zero(), tw.one()]
     if tw.height >= 1:
@@ -278,7 +277,7 @@ def wedge_decompose(class_sum: SymbolSum, slots, budget: int = 100000, extra_poo
         slot_cands = coeffs[: max(4, budget // 4096)]
         singles = [zero_sum(n - 1)]
         for a in coeffs:
-            for bs in _slot_tuples(slot_cands, n - 2):
+            for bs in combinations(slot_cands, n - 2):
                 singles.append(SymbolSum(n - 1, (Symbol(n - 1, a, bs),)))
         candidates = singles
     tried = 0
@@ -295,25 +294,14 @@ def wedge_decompose(class_sum: SymbolSum, slots, budget: int = 100000, extra_poo
     )
 
 
-def _slot_tuples(pool, k):
-    if k == 0:
-        yield ()
-        return
-    for i, b in enumerate(pool):
-        for rest in _slot_tuples(pool[i + 1:], k - 1):
-            yield (b,) + rest
-
-
 def _assignments(candidates, ell):
     """Assignments layered by support size, so sparse solutions and the
     guided head of the pool surface first; candidates[0] must be zero."""
-    from itertools import combinations, product as iproduct
-
     zero = candidates[0]
     nonzero = candidates[1:]
     for k in range(ell + 1):
         for positions in combinations(range(ell), k):
-            for choices in iproduct(nonzero, repeat=k):
+            for choices in product(nonzero, repeat=k):
                 asg = [zero] * ell
                 for pos, c in zip(positions, choices):
                     asg[pos] = c
@@ -339,7 +327,7 @@ def class_decompose(
     reachable case; `class_hint` may supply the class explicitly.
     """
     if n < 2:
-        raise ValueError("decomposition starts at degree 2")
+        raise HypothesisViolated("decomposition starts at degree 2")
     member = in_iqn(f, n)
     if member is False:
         raise UndecidableClass(f"form is not in the degree-{n} subgroup")
@@ -370,12 +358,11 @@ def class_decompose(
 
 
 def _decompose_degree_two(kernel: QuadraticForm, budget: int) -> SymbolSum:
-    tw = kernel.tower
     if kernel.dim == 4:
         # dim-4 kernel with trivial Arf: align the two a-slots and read the
         # quaternion symbol off the presentation
         (c1, e1), (c2, e2) = kernel.pairs
-        aligned = move_wp_shift_to(kernel, 1, e1)
+        move_wp_shift_to(kernel, 1, e1)   # validates e2 = e1 modulo wp
         sym = Symbol(2, e1, (c2 / c1,))
         return simplify(SymbolSum(2, (sym,)))
     nf = normalize_presentation(kernel).form
@@ -405,7 +392,7 @@ def _pfister_slot_recovery(kernel: QuadraticForm, n: int, budget: int) -> Symbol
     for last in coeff_pool:
         if wp_reduce(last).is_in_wp:
             continue
-        for bs in _slot_tuples(pool[: max(6, budget // 8192)], n - 1):
+        for bs in combinations(pool[: max(6, budget // 8192)], n - 1):
             tried += 1
             if tried > budget:
                 raise SearchExhausted(

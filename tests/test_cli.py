@@ -183,3 +183,76 @@ class TestDeterminism:
         kernel = parse_form(tw, data["kernel"])
         assert kernel.dim == 4
         assert data["witt_index"] == 1
+
+
+def leaf_options(parser, path=()):
+    """(command, operation) -> option names, for every leaf of the parser;
+    --help, --format and --no-meta are left out."""
+    import argparse
+
+    out = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                out.update(leaf_options(child, path + (name,)))
+            return out
+    out[" ".join(path)] = {
+        max(a.option_strings, key=len) for a in parser._actions
+        if a.option_strings and a.dest not in ("help", "format", "no_meta")
+    }
+    return out
+
+
+class TestOptionContract:
+    # every option a leaf declares is read by its handler, and no other
+    TABLE = {
+        "isotropy": {"--field", "--budget"},
+        "witt isotropy": {"--field", "--budget"},
+        **{cmd: {"--field"} for cmd in (
+            "witt decompose", "witt index", "witt hyperbolic", "witt equivalent",
+            "pfister expand", "pfister hyperbolic", "pfister invariant",
+            "symbol simplify", "symbol trivial", "symbol rewrite")},
+        "symbol length": {"--field", "--budget"},
+        "invariants": {"--field", "--n"},
+        "symlen split": {"--field", "--n"},
+        "symlen bound": {"--u", "--n", "--rank"},
+        "symlen decompose": {"--field", "--n", "--budget"},
+        "linkage max": {"--field", "--p", "--q", "--budget"},
+        "linkage check": {"--field", "--p", "--q", "--k", "--budget"},
+        "u-invariant": {"--field", "--n", "--seed", "--samples"},
+        "verify": {"--field", "--seed", "--samples", "--budget"},
+    }
+
+    def test_leaf_options_match_table(self):
+        from qchar2.cli import build_parser
+
+        got = leaf_options(build_parser())
+        assert got == self.TABLE
+        assert sum(len(v) for v in got.values()) == 43
+
+    @pytest.mark.parametrize("argv", [
+        ["pfister", "expand", "--field", "F2((t))", "<<t,1]]", "--budget", "5"],
+        ["linkage", "max", "--field", "F2((t))", "--p", "<<t,1]]", "--q", "<<t,1]]",
+         "--inseparable"],
+        ["oracle-check", "--field", "F2((t))"],
+    ])
+    def test_undeclared_option_or_command_is_a_usage_error(self, capsys, argv):
+        assert main(argv) == 2
+
+    def test_budget_on_a_suite_without_search(self, capsys):
+        assert main(["verify", "invariance", "--budget", "5"]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_budget_on_a_suite_with_search(self, capsys):
+        assert main(["verify", "pfister-dichotomy", "--samples", "3", "--budget", "64"]) == 0
+
+
+class TestHypothesisViolations:
+    @pytest.mark.parametrize("argv", [
+        ["linkage", "max", "--field", "F2((t))", "--p", "<<t,0]]", "--q", "<<t,1]]"],
+        ["symlen", "decompose", "--field", "F2((t))", "<<t,1]]", "--n", "1"],
+        ["invariants", "--field", "F2((t))", "[1,1]", "--n", "0"],
+    ])
+    def test_exit_two_without_traceback(self, capsys, argv):
+        assert main(argv) == 2
+        assert "error:" in capsys.readouterr().err
