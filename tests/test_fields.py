@@ -1,5 +1,6 @@
 """Tower arithmetic, valuations, squares and Artin-Schreier reduction."""
 
+import hashlib
 import random
 
 import pytest
@@ -260,3 +261,83 @@ class TestFormatting:
     def test_roundtrip_f4(self):
         x = parse_element(F4, "z+1")
         assert parse_element(F4, format_element(x)) == x
+
+
+# -- canonical forms, pinned ------------------------------------------------------
+#
+# Every printed value below is a canonical form, so a change to how elements
+# are stored or reduced that alters any of them changes the digest.  The
+# towers cover the packed level (F2((t))) and the coefficient-tuple levels
+# over F_{2^k} for k = 1, 2, 3 and one or two variables.
+
+DIGEST_TOWERS = [
+    tower(1, ("t",)), tower(2, ("t",)), tower(3, ("t",)),
+    tower(1, ("t1", "t2")), tower(2, ("t1", "t2")),
+]
+DIGEST_ELEMENTS = 8
+CANONICAL_FORMS_SHA256 = "fae98c57f932c1a228620d4688aed6295709bd97ae36d11efa4a9a2068fb0d01"
+
+
+def _digest_poly(tw, rng, terms):
+    span = 3 - tw.height           # keep two-variable gcds small and fast
+    out = tw.zero()
+    for _ in range(terms):
+        term = tw.base_element(rng.randrange(1, tw.order))
+        for level in range(1, tw.height + 1):
+            term = term * tw.monomial(level, rng.randrange(-span, span + 1))
+        out = out + term
+    return out
+
+
+def _digest_element(tw, rng):
+    """A fraction of small Laurent polynomials, sometimes squared or put
+    through wp so that sqrt and wp membership also meet their yes-cases."""
+    den = tw.zero()
+    while den.is_zero():
+        den = _digest_poly(tw, rng, rng.randrange(1, 3))
+    x = _digest_poly(tw, rng, rng.randrange(0, 4)) / den
+    kind = rng.randrange(4)
+    if kind == 1:
+        x = x * x
+    elif kind == 2:
+        x = wp(x)
+    return x
+
+
+def _unary_record(x):
+    tw = x.tower
+    fmt = format_element
+    root = x.sqrt()
+    out = [fmt(x), "sqrt=" + ("None" if root is None else fmt(root))]
+    for level in range(1, tw.height + 1):
+        out.append(f"d{level}=" + fmt(x.derivative(level)))
+        if not x.is_zero() and x.level <= level:
+            v = x.valuation(level)
+            out.append(f"v{level}={v}")
+            if v >= 0:
+                out.append(f"r{level}=" + fmt(x.residue(level)))
+    r = wp_reduce(x)
+    out.append(f"wp={fmt(r.reduced)},{r.is_in_wp}")
+    return " ".join(out)
+
+
+def canonical_form_record():
+    lines = []
+    for i, tw in enumerate(DIGEST_TOWERS):
+        rng = random.Random(1000 + i)
+        xs = [_digest_element(tw, rng) for _ in range(DIGEST_ELEMENTS)]
+        lines.append(tw.descriptor())
+        lines.extend(_unary_record(x) for x in xs)
+        for a in range(len(xs)):
+            for b in range(a + 1, len(xs)):
+                x, y = xs[a], xs[b]
+                quo = "undefined" if y.is_zero() else format_element(x / y)
+                lines.append(f"sum {_unary_record(x + y)}")
+                lines.append(f"prod {_unary_record(x * y)}")
+                lines.append(f"quo {quo}")
+    return "\n".join(lines)
+
+
+def test_canonical_forms_are_pinned():
+    record = canonical_form_record()
+    assert hashlib.sha256(record.encode()).hexdigest() == CANONICAL_FORMS_SHA256
