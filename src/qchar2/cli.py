@@ -45,6 +45,12 @@ def _int_list(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
+def _count(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a count of at least 1, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--format", choices=("text", "json"), default="text")
@@ -118,13 +124,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = leaf(sub, "u-invariant", help="u-invariant estimate with evidence")
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=_count, default=200)
 
     p = leaf(sub, "verify", field=False, help="run a verification suite")
     p.add_argument("suite", choices=sorted(SUITES) + ["all"])
     p.add_argument("--field", default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--samples", type=_count, default=None)
     p.add_argument("--budget", type=int, default=None,
                    help="overrides the budget of every suite that searches"
                         " (default: keep each suite's own)")

@@ -9,12 +9,15 @@ Elements are represented exactly as iterated rational functions:
 * level j -- a reduced fraction of polynomials in t_j whose coefficients
   are elements of level < j.
 
-Polynomials over the prime field (k = 1, level 1) are bit-packed into
-ints, which keeps the innermost arithmetic fast; higher levels use
-coefficient tuples.  Fractions are kept canonical (gcd removed,
-denominator scaled so that its lowest-degree nonzero coefficient is 1,
-constant fractions collapsed to the lower level), so structural equality
-coincides with field equality and elements are hashable.
+Each level's polynomials belong to one private ring, which alone knows
+their format: `_PackedRing` packs F_2[t_1] into ints, `_TupleRing` keeps
+coefficient tuples.  `FieldTower.__init__` picks the ring of each level,
+packed for level 1 when k = 1 and tuples everywhere else; other modules
+read coefficients through `FieldElement.coefficients()`.  Fractions are
+kept canonical (gcd removed, denominator scaled so that its lowest-degree
+nonzero coefficient is 1, constant fractions collapsed to the lower
+level), so structural equality coincides with field equality and
+elements are hashable.  `tower()` interns towers, one per (k, names).
 
 Semantic questions (squareness, Artin-Schreier membership, valuations)
 are answered against the *complete* field, even though representatives
@@ -43,12 +46,12 @@ _MODULI = {
 
 DEFAULT_WP_PRECISION = 16
 
-
 class FieldTower:
     """A field F_{2^k}((t_1))...((t_m)) with exact rational representatives.
 
     `names` lists the Laurent variables innermost first; the height m is
-    the 2-rank of the field and {t_1, ..., t_m} is its 2-basis.
+    the 2-rank of the field and {t_1, ..., t_m} is its 2-basis.  Build
+    towers with `tower()`, which returns one shared instance per field.
     """
 
     def __init__(self, base_exponent: int, variable_names: tuple[str, ...] = ()):
@@ -60,6 +63,11 @@ class FieldTower:
         self.k = base_exponent
         self.names = names
         self._build_base_tables()
+        # the one choice of polynomial representation, per level
+        self._rings = (None,) + tuple(
+            _PackedRing(self) if base_exponent == 1 and level == 1 else _TupleRing(self, level)
+            for level in range(1, len(names) + 1)
+        )
 
     # -- base-field machinery ------------------------------------------------
 
@@ -145,19 +153,14 @@ class FieldTower:
     def monomial(self, level: int, exponent: int) -> FieldElement:
         if not 1 <= level <= self.height:
             raise LevelError(f"level {level} outside 1..{self.height}")
-        if self.k == 1 and level == 1:
-            if exponent >= 0:
-                return FieldElement._fraction(self, 1, 1 << exponent, 1)
-            return FieldElement._fraction(self, 1, 1, 1 << -exponent)
-        one = self.one()
-        pows = (self.zero(),) * abs(exponent) + (one,)
+        ring = self._rings[level]
         if exponent >= 0:
-            return FieldElement._fraction(self, level, pows, (one,))
-        return FieldElement._fraction(self, level, (one,), pows)
+            return ring.fraction(ring.monomial(exponent), ring.one)
+        return ring.fraction(ring.one, ring.monomial(-exponent))
 
     def element(self, value) -> FieldElement:
         if isinstance(value, FieldElement):
-            if value.tower != self:
+            if value.tower is not self:
                 raise ValueError("element from a different tower")
             return value
         if isinstance(value, int):
@@ -172,172 +175,242 @@ class FieldTower:
         base = "F2" if self.k == 1 else f"F2^{self.k}"
         return base + "".join(f"(({n}))" for n in self.names)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldTower)
-            and self.k == other.k
-            and self.names == other.names
-        )
-
-    def __hash__(self):
-        return hash((self.k, self.names))
+    def __reduce__(self):
+        return tower, (self.k, self.names)
 
     def __repr__(self):
         return f"FieldTower({self.descriptor()})"
 
 
-@lru_cache(maxsize=None)
+_TOWERS: dict[tuple[int, tuple[str, ...]], FieldTower] = {}
+
+
 def tower(base_exponent: int, variable_names: tuple[str, ...] = ()) -> FieldTower:
-    """Shared tower instances; value-equal towers are interchangeable."""
-    return FieldTower(base_exponent, variable_names)
+    """The shared instance of F_{2^k}((names...)): towers are interned on
+    (k, names), so equal towers are the same object."""
+    key = (base_exponent, tuple(variable_names))
+    tw = _TOWERS.get(key)
+    if tw is None:
+        tw = _TOWERS[key] = FieldTower(*key)
+    return tw
 
 
-# -- bit-packed polynomials over F_2 (level 1 of a k=1 tower) -------------------
-
-
-def _bmul(a: int, b: int) -> int:
-    out = 0
-    while a:
-        low = a & -a
-        out ^= b << (low.bit_length() - 1)
-        a ^= low
-    return out
-
-
-def _bdivmod(a: int, b: int) -> tuple[int, int]:
-    if b == 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    db = b.bit_length()
-    q = 0
-    while a and a.bit_length() >= db:
-        shift = a.bit_length() - db
-        q ^= 1 << shift
-        a ^= b << shift
-    return q, a
-
-
-def _bgcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, _bdivmod(a, b)[1]
-    return a
-
-
-def _bval(a: int) -> int:
-    return (a & -a).bit_length() - 1
-
-
-def _bderiv(a: int) -> int:
-    out = 0
-    j = 1
-    while a >> j:
-        if (a >> j) & 1:
-            out |= 1 << (j - 1)
-        j += 2
-    return out
-
-
-def _bsqrt(a: int):
-    out = 0
-    j = 0
-    while a >> j:
-        if (a >> j) & 1:
-            if j % 2:
-                return None
-            out |= 1 << (j // 2)
-        j += 1
-    return out
-
-
-# -- polynomials as coefficient tuples (all other levels) -----------------------
+# -- polynomial rings, one per tower level ---------------------------------------
 #
-# Tuples are ascending degree with no trailing zeros; coefficients may sit
-# at any level below the polynomial's own variable.
+# Both offer `lift` (a lower-level element as a constant), `one`, `monomial`,
+# `add`, `mul`, `fraction` (the canonical element num/den), `val`, `coeffs`
+# (ascending coefficient tuple), `derive` (in the ring's own variable) and
+# `sqrt` (of a polynomial, or None).
 
 
-def _pnorm(cs):
-    n = len(cs)
-    while n and cs[n - 1].is_zero():
-        n -= 1
-    return tuple(cs[:n])
+def _even_bits(n: int) -> int:
+    """The int with every even bit position below n set."""
+    return (4 ** ((n + 1) // 2) - 1) // 3
 
 
-def _padd(a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = out[i] + c
-    return _pnorm(out)
+class _PackedRing:
+    """F_2[t_1], level 1 of a k = 1 tower: bit i of an int is the
+    coefficient of t_1^i.  Its coefficients lie in F_2, so t_1 is the only
+    variable to differentiate by."""
+
+    one = 1
+
+    def __init__(self, tw):
+        self.tower = tw
+        self._bits = (tw.zero(), tw.one())
+
+    def lift(self, c):
+        return c.bits
+
+    def monomial(self, e):
+        return 1 << e
+
+    def add(self, a, b):
+        return a ^ b
+
+    def mul(self, a, b):
+        out = 0
+        while a:
+            low = a & -a
+            out ^= b << (low.bit_length() - 1)
+            a ^= low
+        return out
+
+    @staticmethod
+    def _divmod(a, b):
+        db = b.bit_length()
+        q = 0
+        while a and a.bit_length() >= db:
+            shift = a.bit_length() - db
+            q ^= 1 << shift
+            a ^= b << shift
+        return q, a
+
+    def fraction(self, num, den):
+        if den == 0:
+            raise ZeroDivisionError("zero denominator")
+        tw = self.tower
+        if num == 0:
+            return FieldElement._base(tw, 0)
+        a, b = num, den
+        while b:
+            a, b = b, self._divmod(a, b)[1]
+        if a > 1:
+            num = self._divmod(num, a)[0]
+            den = self._divmod(den, a)[0]
+        if den == 1 and num <= 1:
+            return FieldElement._base(tw, num)
+        return FieldElement._make(tw, 1, num, den)
+
+    def val(self, a):
+        return (a & -a).bit_length() - 1
+
+    def coeffs(self, a):
+        bits = self._bits
+        return tuple(bits[a >> i & 1] for i in range(a.bit_length()))
+
+    def derive(self, a):
+        # the odd-degree terms survive, one degree lower
+        return (a >> 1) & _even_bits(a.bit_length())
+
+    def sqrt(self, a):
+        if a & _even_bits(a.bit_length()) << 1:
+            return None
+        return sum(1 << (j // 2) for j in range(0, a.bit_length(), 2) if a >> j & 1)
 
 
-def _pmul(tw, a, b):
-    if not a or not b:
-        return ()
-    out = [tw.zero()] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca.is_zero():
-            continue
-        for j, cb in enumerate(b):
-            if not cb.is_zero():
-                out[i + j] = out[i + j] + ca * cb
-    return _pnorm(out)
+class _TupleRing:
+    """Polynomials in t_level as ascending coefficient tuples with no
+    trailing zeros; coefficients may sit at any level below `level`."""
 
+    def __init__(self, tw, level):
+        self.tower = tw
+        self.level = level
+        self._zero = tw.zero()
+        self.one = (tw.one(),)
 
-def _pscale(cs, factor):
-    return _pnorm(tuple(c * factor for c in cs))
+    def lift(self, c):
+        return (c,)
 
+    def monomial(self, e):
+        return (self._zero,) * e + self.one
 
-def _pdivmod(tw, a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    inv_lead = b[-1].inverse()
-    rem = list(a)
-    if len(a) < len(b):
-        return (), a
-    quo = [tw.zero()] * (len(a) - len(b) + 1)
-    for shift in range(len(a) - len(b), -1, -1):
-        top = rem[shift + len(b) - 1]
-        if top.is_zero():
-            continue
-        q = top * inv_lead
-        quo[shift] = q
-        for i, cb in enumerate(b):
-            rem[shift + i] = rem[shift + i] + q * cb
-    return _pnorm(quo), _pnorm(rem)
+    @staticmethod
+    def _norm(cs):
+        n = len(cs)
+        while n and cs[n - 1].is_zero():
+            n -= 1
+        return tuple(cs[:n])
 
+    def add(self, a, b):
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] = out[i] + c
+        return self._norm(out)
 
-def _pgcd(tw, a, b):
-    a, b = _pnorm(a), _pnorm(b)
-    while b:
-        _, r = _pdivmod(tw, a, b)
-        a, b = b, r
-    if not a:
-        return ()
-    if a[-1].is_one():
+    def mul(self, a, b):
+        if not a or not b:
+            return ()
+        out = [self._zero] * (len(a) + len(b) - 1)
+        for i, ca in enumerate(a):
+            if ca.is_zero():
+                continue
+            for j, cb in enumerate(b):
+                if not cb.is_zero():
+                    out[i + j] = out[i + j] + ca * cb
+        return self._norm(out)
+
+    def _scale(self, cs, factor):
+        return self._norm(tuple(c * factor for c in cs))
+
+    def _divmod(self, a, b):
+        inv_lead = b[-1].inverse()
+        rem = list(a)
+        if len(a) < len(b):
+            return (), a
+        quo = [self._zero] * (len(a) - len(b) + 1)
+        for shift in range(len(a) - len(b), -1, -1):
+            top = rem[shift + len(b) - 1]
+            if top.is_zero():
+                continue
+            q = top * inv_lead
+            quo[shift] = q
+            for i, cb in enumerate(b):
+                rem[shift + i] = rem[shift + i] + q * cb
+        return self._norm(quo), self._norm(rem)
+
+    def _gcd(self, a, b):
+        while b:
+            _, r = self._divmod(a, b)
+            a, b = b, r
+        if a[-1].is_one():
+            return a
+        return self._scale(a, a[-1].inverse())
+
+    def fraction(self, num, den):
+        num, den = self._norm(num), self._norm(den)
+        if not den:
+            raise ZeroDivisionError("zero denominator")
+        if not num:
+            return FieldElement._base(self.tower, 0)
+        # gcd is only needed when both sides are non-constant
+        if len(num) > 1 and len(den) > 1:
+            g = self._gcd(num, den)
+            if len(g) > 1:
+                num, _ = self._divmod(num, g)
+                den, _ = self._divmod(den, g)
+        unit = den[self.val(den)]
+        if not unit.is_one():
+            inv = unit.inverse()
+            num = self._scale(num, inv)
+            den = self._scale(den, inv)
+        if len(den) == 1 and len(num) == 1:
+            return num[0]
+        return FieldElement._make(self.tower, self.level, num, den)
+
+    def val(self, cs):
+        for i, c in enumerate(cs):
+            if not c.is_zero():
+                return i
+        raise ZeroInput("valuation of the zero polynomial")
+
+    def coeffs(self, a):
         return a
-    return _pscale(a, a[-1].inverse())
 
+    def derive(self, cs):
+        # d/dt of sum c_i t^i in characteristic 2: odd-degree terms survive
+        out = [self._zero] * max(len(cs) - 1, 0)
+        for i in range(1, len(cs), 2):
+            out[i - 1] = cs[i]
+        return self._norm(out)
 
-def _pval(cs):
-    for i, c in enumerate(cs):
-        if not c.is_zero():
-            return i
-    raise ZeroInput("valuation of the zero polynomial")
+    def derive_coefficients(self, cs, level):
+        """d/dt_level for a variable below this ring's own."""
+        return self._norm(tuple(c.derivative(level) for c in cs))
 
-
-def _pderive_own(tw, cs):
-    # d/dt of sum c_i t^i in characteristic 2: odd-degree terms survive
-    out = [tw.zero()] * max(len(cs) - 1, 0)
-    for i in range(1, len(cs), 2):
-        out[i - 1] = cs[i]
-    return _pnorm(out)
+    def sqrt(self, cs):
+        root = [self._zero] * ((len(cs) + 1) // 2)
+        for i, c in enumerate(cs):
+            if c.is_zero():
+                continue
+            if i % 2:
+                return None
+            r = c.sqrt()
+            if r is None:
+                return None
+            root[i // 2] = r
+        return tuple(root)
 
 
 class FieldElement:
     """An exact element of a characteristic-2 Laurent tower.
 
     Immutable and hashable; arithmetic always returns the canonical
-    reduced representation, so `==` decides field equality.
+    reduced representation, so `==` decides field equality.  At level
+    j >= 1, `num` and `den` are polynomials in the format of the tower's
+    level-j ring.
     """
 
     __slots__ = ("tower", "level", "bits", "num", "den", "_hash")
@@ -357,30 +430,8 @@ class FieldElement:
         return self
 
     @classmethod
-    def _fraction(cls, tw, level, num, den):
-        if tw.k == 1 and level == 1:
-            if isinstance(num, tuple):
-                num = _tuple_to_bits(num)
-                den = _tuple_to_bits(den)
-            return cls._bit_fraction(tw, num, den)
-        num, den = _pnorm(num), _pnorm(den)
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        if not num:
-            return cls._base(tw, 0)
-        # gcd is only needed when both sides are non-constant
-        if len(num) > 1 and len(den) > 1:
-            g = _pgcd(tw, num, den)
-            if len(g) > 1:
-                num, _ = _pdivmod(tw, num, g)
-                den, _ = _pdivmod(tw, den, g)
-        unit = den[_pval(den)]
-        if not unit.is_one():
-            inv = unit.inverse()
-            num = _pscale(num, inv)
-            den = _pscale(den, inv)
-        if len(den) == 1 and len(num) == 1:
-            return num[0]
+    def _make(cls, tw, level, num, den):
+        """Wrap an already canonical fraction; only the rings call this."""
         self = object.__new__(cls)
         self.tower = tw
         self.level = level
@@ -390,40 +441,6 @@ class FieldElement:
         self._hash = None
         return self
 
-    @classmethod
-    def _bit_fraction(cls, tw, num: int, den: int):
-        if den == 0:
-            raise ZeroDivisionError("zero denominator")
-        if num == 0:
-            return cls._base(tw, 0)
-        g = _bgcd(num, den)
-        if g > 1:
-            num = _bdivmod(num, g)[0]
-            den = _bdivmod(den, g)[0]
-        if den == 1 and num <= 1:
-            return cls._base(tw, num)
-        self = object.__new__(cls)
-        self.tower = tw
-        self.level = 1
-        self.bits = None
-        self.num = num
-        self.den = den
-        self._hash = None
-        return self
-
-    def _is_bit(self) -> bool:
-        return self.level == 1 and self.tower.k == 1
-
-    def _num_tuple(self):
-        if self._is_bit():
-            return _bits_to_tuple(self.tower, self.num)
-        return self.num
-
-    def _den_tuple(self):
-        if self._is_bit():
-            return _bits_to_tuple(self.tower, self.den)
-        return self.den
-
     # -- structure ------------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -432,16 +449,23 @@ class FieldElement:
     def is_one(self) -> bool:
         return self.level == 0 and self.bits == 1
 
+    def coefficients(self) -> tuple[tuple[FieldElement, ...], tuple[FieldElement, ...]]:
+        """Numerator and denominator coefficients in t_level, lowest degree
+        first, of the canonical fraction; needs level >= 1."""
+        if self.level == 0:
+            raise LevelError("a base-field element has no Laurent variable")
+        ring = self.tower._rings[self.level]
+        return ring.coeffs(self.num), ring.coeffs(self.den)
+
     def _frac_at(self, level):
         if self.level == level:
             return self.num, self.den
-        if self.tower.k == 1 and level == 1:
-            return self.bits, 1
-        return (self,), (self.tower.one(),)
+        ring = self.tower._rings[level]
+        return ring.lift(self), ring.one
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
-            if other.tower != self.tower:
+            if other.tower is not self.tower:
                 raise ValueError("elements from different towers")
             return other
         if isinstance(other, int):
@@ -456,19 +480,14 @@ class FieldElement:
             return NotImplemented
         if self.level == 0 and other.level == 0:
             return FieldElement._base(self.tower, self.bits ^ other.bits)
-        tw = self.tower
         level = max(self.level, other.level)
+        ring = self.tower._rings[level]
         n1, d1 = self._frac_at(level)
         n2, d2 = other._frac_at(level)
-        if tw.k == 1 and level == 1:
-            if d1 == d2:
-                return FieldElement._bit_fraction(tw, n1 ^ n2, d1)
-            num = _bmul(n1, d2) ^ _bmul(n2, d1)
-            return FieldElement._bit_fraction(tw, num, _bmul(d1, d2))
         if d1 == d2:
-            return FieldElement._fraction(tw, level, _padd(n1, n2), d1)
-        num = _padd(_pmul(tw, n1, d2), _pmul(tw, n2, d1))
-        return FieldElement._fraction(tw, level, num, _pmul(tw, d1, d2))
+            return ring.fraction(ring.add(n1, n2), d1)
+        num = ring.add(ring.mul(n1, d2), ring.mul(n2, d1))
+        return ring.fraction(num, ring.mul(d1, d2))
 
     __radd__ = __add__
     __sub__ = __add__          # characteristic 2
@@ -489,13 +508,11 @@ class FieldElement:
             return other
         if other.is_one():
             return self
-        tw = self.tower
         level = max(self.level, other.level)
+        ring = self.tower._rings[level]
         n1, d1 = self._frac_at(level)
         n2, d2 = other._frac_at(level)
-        if tw.k == 1 and level == 1:
-            return FieldElement._bit_fraction(tw, _bmul(n1, n2), _bmul(d1, d2))
-        return FieldElement._fraction(tw, level, _pmul(tw, n1, n2), _pmul(tw, d1, d2))
+        return ring.fraction(ring.mul(n1, n2), ring.mul(d1, d2))
 
     __rmul__ = __mul__
 
@@ -504,9 +521,7 @@ class FieldElement:
             raise ZeroDivisionError("inverting 0")
         if self.level == 0:
             return FieldElement._base(self.tower, self.tower.binv(self.bits))
-        if self._is_bit():
-            return FieldElement._bit_fraction(self.tower, self.den, self.num)
-        return FieldElement._fraction(self.tower, self.level, self.den, self.num)
+        return self.tower._rings[self.level].fraction(self.den, self.num)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -539,7 +554,7 @@ class FieldElement:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        if self.level != other.level or self.tower != other.tower:
+        if self.level != other.level or self.tower is not other.tower:
             return False
         if self.level == 0:
             return self.bits == other.bits
@@ -571,9 +586,8 @@ class FieldElement:
                 f"element lives at level {self.level}; cannot take its"
                 f" t_{level}-valuation before residuing down"
             )
-        if self._is_bit():
-            return _bval(self.num) - _bval(self.den)
-        return _pval(self.num) - _pval(self.den)
+        ring = self.tower._rings[level]
+        return ring.val(self.num) - ring.val(self.den)
 
     def residue(self, level: int) -> FieldElement:
         """Constant term as a Laurent series in t_level; needs valuation >= 0."""
@@ -585,19 +599,14 @@ class FieldElement:
             return self
         if self.level > level:
             raise LevelError("residue level below the element's own variable")
-        if self._is_bit():
-            vn, vd = _bval(self.num), _bval(self.den)
-            if vn < vd:
-                raise NegativeValuation(f"pole of order {vd - vn}")
-            if vn > vd:
-                return self.tower.zero()
-            return self.tower.one()
-        vn, vd = _pval(self.num), _pval(self.den)
+        ring = self.tower._rings[level]
+        vn, vd = ring.val(self.num), ring.val(self.den)
         if vn < vd:
             raise NegativeValuation(f"pole of order {vd - vn} at {self.tower.names[level - 1]}=0")
         if vn > vd:
             return self.tower.zero()
-        return self.num[vn] / self.den[vd]
+        # the lowest denominator coefficient is 1 in canonical form
+        return ring.coeffs(self.num)[vn]
 
     # -- squares -------------------------------------------------------------------
 
@@ -610,24 +619,11 @@ class FieldElement:
         """
         if self.level == 0:
             return FieldElement._base(self.tower, self.tower.bsqrt(self.bits))
-        tw = self.tower
-        if self._is_bit():
-            root = _bsqrt(_bmul(self.num, self.den))
-            if root is None:
-                return None
-            return FieldElement._bit_fraction(tw, root, self.den)
-        prod = _pmul(tw, self.num, self.den)
-        root = [tw.zero()] * ((len(prod) + 1) // 2)
-        for i, c in enumerate(prod):
-            if c.is_zero():
-                continue
-            if i % 2:
-                return None
-            r = c.sqrt()
-            if r is None:
-                return None
-            root[i // 2] = r
-        return FieldElement._fraction(tw, self.level, tuple(root), self.den)
+        ring = self.tower._rings[self.level]
+        root = ring.sqrt(ring.mul(self.num, self.den))
+        if root is None:
+            return None
+        return ring.fraction(root, self.den)
 
     def is_square(self) -> bool:
         return self.sqrt() is not None
@@ -640,18 +636,14 @@ class FieldElement:
             raise LevelError(f"level {level} outside 1..{self.tower.height}")
         if self.level < level:
             return self.tower.zero()
-        tw = self.tower
-        if self._is_bit():
-            num = _bmul(_bderiv(self.num), self.den) ^ _bmul(self.num, _bderiv(self.den))
-            return FieldElement._bit_fraction(tw, num, _bmul(self.den, self.den))
+        ring = self.tower._rings[self.level]
+        num, den = self.num, self.den
         if self.level == level:
-            dn = _pderive_own(tw, self.num)
-            dd = _pderive_own(tw, self.den)
+            dn, dd = ring.derive(num), ring.derive(den)
         else:
-            dn = _pnorm(tuple(c.derivative(level) for c in self.num))
-            dd = _pnorm(tuple(c.derivative(level) for c in self.den))
-        num = _padd(_pmul(tw, dn, self.den), _pmul(tw, self.num, dd))
-        return FieldElement._fraction(tw, self.level, num, _pmul(tw, self.den, self.den))
+            dn, dd = ring.derive_coefficients(num, level), ring.derive_coefficients(den, level)
+        num = ring.add(ring.mul(dn, den), ring.mul(num, dd))
+        return ring.fraction(num, ring.mul(den, den))
 
     def dlog_coords(self) -> tuple[FieldElement, ...]:
         """Coordinates of d(self)/self over the basis dt_1, ..., dt_m."""
@@ -667,19 +659,6 @@ class FieldElement:
         from .parsing import format_element
 
         return format_element(self)
-
-
-def _tuple_to_bits(cs) -> int:
-    out = 0
-    for i, c in enumerate(cs):
-        if not c.is_zero():
-            out |= 1 << i
-    return out
-
-
-def _bits_to_tuple(tw, bits: int):
-    one, zero = tw.one(), tw.zero()
-    return tuple(one if bits >> i & 1 else zero for i in range(bits.bit_length()))
 
 
 # -- Artin-Schreier reduction ---------------------------------------------------------
@@ -797,10 +776,11 @@ def _series_coeffs(x: FieldElement, level: int, n: int) -> list[FieldElement]:
         return [zero] * n
     if x.level < level:
         return [x] + [zero] * (n - 1)
-    num, den = x._num_tuple(), x._den_tuple()
-    vd = _pval(den)
-    if _pval(num) < vd:
+    ring = tw._rings[level]
+    vd = ring.val(x.den)
+    if ring.val(x.num) < vd:
         raise NegativeValuation("series expansion at a pole")
+    num, den = x.coefficients()
     num = num[vd:]
     den = den[vd:]
     inv0 = den[0].inverse()

@@ -143,7 +143,7 @@ def pfister_expand(p: QuadraticPfister) -> QuadraticForm:
 
 
 def orth_sum(f: QuadraticForm, g: QuadraticForm) -> QuadraticForm:
-    if f.tower != g.tower:
+    if f.tower is not g.tower:
         raise ValueError("orthogonal sum across different towers")
     return QuadraticForm(f.tower, f.pairs + g.pairs, f.quasilinear + g.quasilinear)
 

@@ -32,7 +32,7 @@ def _rref(mat, n_cols):
     return reduced
 
 
-def rank_profile(tw: FieldTower, rows):
+def rank_profile(rows):
     """Row-reduce a copy of `rows`; return (rank, pivot column indices)."""
     mat = [list(r) for r in rows]
     reduced = _rref(mat, len(mat[0]) if mat else 0)
@@ -92,10 +92,20 @@ def square_coordinates(x: FieldElement) -> dict:
     if x.level == 0:
         return {frozenset(): x.sqrt()}
     level = x.level
-    den = FieldElement._fraction(tw, level, x._den_tuple(), (tw.one(),))
-    prod = den * x * den  # x = prod / den^2
+    num, den = x.coefficients()
+    if sum(not c.is_zero() for c in num) == 1 < len(den):
+        # x = c*t^k/den = x^2 * (1/x): scale the coordinates of 1/x, whose
+        # denominator is a power of t and so costs nothing to clear
+        return {k: x * u for k, u in square_coordinates(x.inverse()).items()}
+    inv_den = None
+    if len(den) > 1:
+        # x = (num * den) / den^2: the coordinates of num * den, over den
+        terms = [tw.monomial(level, i) if c.is_one() else c * tw.monomial(level, i)
+                 for i, c in enumerate(den) if not c.is_zero()]
+        d = sum(terms[1:], terms[0])
+        num = (d * x * d).coefficients()[0]
+        inv_den = d.inverse()
     out = {}
-    num = prod._num_tuple() if prod.level == level else (prod,)
     for i, c in enumerate(num):
         if c.is_zero():
             continue
@@ -104,12 +114,13 @@ def square_coordinates(x: FieldElement) -> dict:
         for key, u in square_coordinates(c).items():
             if parity:
                 key = key | {level}
-            acc = out.get(key, tw.zero()) + u * tpow
+            acc = u * tpow if key not in out else out[key] + u * tpow
             if acc.is_zero():
                 out.pop(key, None)
             else:
                 out[key] = acc
-    inv_den = den.inverse()
+    if inv_den is None:
+        return out
     return {k: u * inv_den for k, u in out.items()}
 
 
@@ -136,4 +147,4 @@ def square_span_rank(tw: FieldTower, elements) -> tuple[int, list[int]]:
     rows = [[d.get(k, tw.zero()) for d in coords] for k in keys]
     if not rows:
         return 0, []
-    return rank_profile(tw, rows)
+    return rank_profile(rows)

@@ -213,8 +213,8 @@ def format_element(x: FieldElement) -> str:
     if x.level == 0:
         return _format_base(x.tower, x.bits)
     var = x.tower.names[x.level - 1]
-    den = x._den_tuple()
-    num = _format_poly(x._num_tuple(), var)
+    num, den = x.coefficients()
+    num = _format_poly(num, var)
     if len(den) == 1 and den[0].is_one():
         return num
     return f"{_wrap(num)}/{_wrap(_format_poly(den, var))}"
@@ -321,8 +321,8 @@ def _parse_form_atom(sc: _Scanner, tw: FieldTower):
         return QuadraticPfister(tuple(entries[:-1]), entries[-1])
     if sc.startswith("<"):
         sc.expect("<")
-        entries = [_parse_expr(sc, tw)]
-        while sc.take(","):
+        entries = [] if sc.startswith(">") else [_parse_expr(sc, tw)]   # `<>q`, `<>` are empty
+        while entries and sc.take(","):
             entries.append(_parse_expr(sc, tw))
         sc.expect(">")
         if sc.take("q"):

@@ -431,4 +431,6 @@ def two_rank_bound(m: int, degree: int) -> int:
     """binom(m, degree-1): the basis-coordinate count over a 2-rank-m field."""
     if degree < 1:
         raise HypothesisViolated("degree must be >= 1")
+    if m < 0:
+        raise HypothesisViolated("2-rank must be >= 0")
     return math.comb(m, degree - 1)

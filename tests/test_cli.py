@@ -252,6 +252,10 @@ class TestHypothesisViolations:
         ["linkage", "max", "--field", "F2((t))", "--p", "<<t,0]]", "--q", "<<t,1]]"],
         ["symlen", "decompose", "--field", "F2((t))", "<<t,1]]", "--n", "1"],
         ["invariants", "--field", "F2((t))", "[1,1]", "--n", "0"],
+        ["symlen", "bound", "--u", "8,8", "--n", "3", "--rank", "-1"],
+        # a sample count below 1 is a usage error
+        ["verify", "oracle", "--samples", "-1"],
+        ["u-invariant", "--field", "F2((t))", "--samples", "-1"],
     ])
     def test_exit_two_without_traceback(self, capsys, argv):
         assert main(argv) == 2

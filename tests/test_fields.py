@@ -1,13 +1,14 @@
 """Tower arithmetic, valuations, squares and Artin-Schreier reduction."""
 
 import hashlib
+import pickle
 import random
 
 import pytest
 
 from qchar2.errors import LevelError, NegativeValuation, ZeroInput
 from qchar2.fields import tower, wp, wp_reduce
-from qchar2.parsing import format_element, parse_element
+from qchar2.parsing import format_element, parse_element, parse_field
 
 F2 = tower(1)
 F4 = tower(2)
@@ -40,6 +41,21 @@ class TestBaseField:
         assert F2.trace_one_element().is_one()
         z = F4.trace_one_element()
         assert z == F4.base_element(2)
+
+
+class TestTowerInterning:
+    def test_one_instance_per_field(self):
+        assert tower(2) is parse_field("F4")
+        assert tower(1) is tower(1, ())
+        assert tower(1, variable_names=("t",)) is tower(1, ("t",))
+        assert parse_field("F2((t1))((t2))") is F2TT
+
+    def test_pickled_element_mixes_with_parsed_ones(self):
+        x = el(F2TT, "(1+t1)/(t1*t2^2) + t2")
+        back = pickle.loads(pickle.dumps(x))
+        assert back.tower is F2TT
+        assert back == x and hash(back) == hash(x)
+        assert back + el(F2TT, "t2") == el(F2TT, "(1+t1)/(t1*t2^2)")
 
 
 class TestFractionArithmetic:

@@ -215,7 +215,7 @@ def _random_invertible(tw, n, rng):
         t = [[rng.choice(pool) for _ in range(n)] for _ in range(n)]
         for i in range(n):
             t[i][i] = t[i][i] + tw.one()
-        r, _ = rank_profile(tw, t)
+        r, _ = rank_profile(t)
         if r == n:
             return t
 

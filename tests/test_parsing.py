@@ -7,13 +7,14 @@ from hypothesis import given, settings, strategies as st
 from qchar2.cohomology import Symbol, SymbolSum
 from qchar2.errors import ParseError
 from qchar2.fields import tower
-from qchar2.forms import QuadraticForm
+from qchar2.forms import BilinearPfister, QuadraticForm
 from qchar2.parsing import (
     format_element,
     format_form,
     format_symbol_sum,
     parse_element,
     parse_form,
+    parse_form_expr,
     parse_symbol_sum,
 )
 
@@ -74,6 +75,11 @@ class TestRoundTrip:
     def test_symbol_sum(self, tw, data):
         s = data.draw(symbol_sum(tw, data.draw(st.sampled_from((2, 3)))))
         assert parse_symbol_sum(tw, format_symbol_sum(s)) == s
+
+
+    def test_empty_forms(self, tw):
+        for f in (QuadraticForm(tw, ()), BilinearPfister(())):
+            assert parse_form_expr(tw, format_form(f)) == f
 
 
 @pytest.mark.parametrize("text", ["[1,1]/t1", "t1/[1,1]", "t1/<<t1,1]]", "1/0*[1,1]"])

@@ -1,0 +1,35 @@
+"""Rules checked on the source of the library itself."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "qchar2"
+
+
+def unread_parameters():
+    """`module.function(parameter)` for every parameter that its function
+    never reads; `self`, `cls` and `_`-prefixed names are exempt."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {
+                n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            name = getattr(node, "name", "<lambda>")
+            found += [
+                f"{path.stem}.{name}({p})" for p in params
+                if p not in read and p not in ("self", "cls") and not p.startswith("_")
+            ]
+    return found
+
+
+def test_every_parameter_is_read():
+    assert unread_parameters() == []
