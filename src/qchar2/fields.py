@@ -46,6 +46,7 @@ _MODULI = {
 
 DEFAULT_WP_PRECISION = 16
 
+
 class FieldTower:
     """A field F_{2^k}((t_1))...((t_m)) with exact rational representatives.
 
@@ -249,18 +250,16 @@ class _PackedRing:
     def fraction(self, num, den):
         if den == 0:
             raise ZeroDivisionError("zero denominator")
-        tw = self.tower
         if num == 0:
-            return FieldElement._base(tw, 0)
-        a, b = num, den
-        while b:
-            a, b = b, self._divmod(a, b)[1]
-        if a > 1:
-            num = self._divmod(num, a)[0]
-            den = self._divmod(den, a)[0]
+            return FieldElement._base(self.tower, 0)
+        g, r = num, den
+        while r:
+            g, r = r, self._divmod(g, r)[1]
+        if g > 1:
+            num, den = self._divmod(num, g)[0], self._divmod(den, g)[0]
         if den == 1 and num <= 1:
-            return FieldElement._base(tw, num)
-        return FieldElement._make(tw, 1, num, den)
+            return FieldElement._base(self.tower, num)
+        return FieldElement._make(self.tower, 1, num, den)
 
     def val(self, a):
         return (a & -a).bit_length() - 1

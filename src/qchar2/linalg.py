@@ -114,7 +114,8 @@ def square_coordinates(x: FieldElement) -> dict:
         for key, u in square_coordinates(c).items():
             if parity:
                 key = key | {level}
-            acc = u * tpow if key not in out else out[key] + u * tpow
+            term = u * tpow
+            acc = out[key] + term if key in out else term
             if acc.is_zero():
                 out.pop(key, None)
             else:
