@@ -1,5 +1,7 @@
 """Isotropy decision, Witt decomposition, oracle consistency."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from qchar2.errors import SingularInput
 from qchar2.fields import tower, wp
 from qchar2.forms import QuadraticForm, QuadraticPfister, orth_sum, scale
+from qchar2.linkage import square_completion_isotropy
 from qchar2.parsing import parse_element, parse_form
 from qchar2.witt import (
     IsotropyVerdict,
@@ -262,3 +265,69 @@ class TestForgedCertificates:
         v = isotropy(f)
         assert v.is_anisotropic
         assert verify_certificate(f, v)
+
+
+# -- search outputs, pinned ---------------------------------------------------------
+#
+# Every field of every verdict the two bounded searches return, over small wild
+# and tame forms (some with quasilinear entries) at three budgets.  A change to
+# the candidate order, the Hensel pass, the budget accounting or the arithmetic
+# underneath that alters any verdict, witness, certificate or report changes
+# the digest.
+
+SEARCH_TOWERS = [tower(1, ("t",)), tower(2, ("t",)), tower(3, ("t",)), tower(1, ("t1", "t2"))]
+SEARCH_BUDGETS = (100, 1000, 4096)
+SEARCH_FORMS = 8
+SEARCH_SHA256 = "21e6d2a27290d57b3864b462b87d7d27f435bab2cb6ac1b1e9bbe3e0f85e89b1"
+
+
+def _search_scalar(tw, rng, lo, hi, terms):
+    out = tw.zero()
+    while out.is_zero():
+        for _ in range(terms):
+            x = tw.base_element(rng.randrange(1, tw.order))
+            for level in range(1, tw.height + 1):
+                x = x * tw.monomial(level, rng.randrange(lo, hi + 1))
+            out = out + x
+    return out
+
+
+def _search_form(tw, rng, wild):
+    """One or two pairs and at most one quasilinear entry; a wild form's
+    first a-slot gets an odd pole in the outermost variable."""
+    pairs = []
+    for i in range(rng.choice((1, 2))):
+        b = _search_scalar(tw, rng, -1, 1, 1)
+        a = _search_scalar(tw, rng, 0, 2, rng.randrange(1, 3))
+        if wild and i == 0:
+            pole = tw.monomial(tw.height, -rng.choice((1, 3)))
+            a = a + tw.base_element(rng.randrange(1, tw.order)) * pole
+        pairs.append((b, a))
+    ql = tuple(_search_scalar(tw, rng, -1, 1, 1) for _ in range(rng.choice((0, 1, 1))))
+    return QuadraticForm(tw, tuple(pairs), ql)
+
+
+def _verdict_record(v):
+    if v is None:
+        return "None"
+    witness = None if v.witness is None else [str(x) for x in v.witness]
+    hensel = None if v.hensel_data is None else [[str(x) for x in w] for w in v.hensel_data]
+    return json.dumps([v.kind, witness, v.certificate, v.budget_report, hensel], sort_keys=True)
+
+
+def search_record():
+    lines = []
+    for i, tw in enumerate(SEARCH_TOWERS):
+        rng = random.Random(2000 + i)
+        for j in range(SEARCH_FORMS):
+            f = _search_form(tw, rng, wild=j % 2 == 0)
+            for budget in SEARCH_BUDGETS:
+                found = _verdict_record(brute_search(f, budget))
+                completed = _verdict_record(square_completion_isotropy(f, budget))
+                lines.append(f"{tw.descriptor()} {f} {budget} {found} {completed}")
+    return "\n".join(lines)
+
+
+def test_search_outputs_are_pinned():
+    record = search_record()
+    assert hashlib.sha256(record.encode()).hexdigest() == SEARCH_SHA256
