@@ -17,7 +17,13 @@ import sys
 import time
 
 from . import __version__
-from .errors import ParseError, QChar2Error, SearchExhausted, UndecidableInstance
+from .errors import (
+    ParseError,
+    QChar2Error,
+    RefutationCandidate,
+    SearchExhausted,
+    UndecidableInstance,
+)
 from .forms import QuadraticPfister
 from .invariants import arf, clifford, clifford_trivial, e_map, in_iqn
 from .parsing import (
@@ -450,6 +456,9 @@ def main(argv=None) -> int:
     except (SearchExhausted, UndecidableInstance) as exc:
         print(f"undecided: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED
+    except RefutationCandidate as exc:
+        print(f"refutation candidate: {exc}", file=sys.stderr)
+        return EXIT_REFUTATION
     except QChar2Error as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

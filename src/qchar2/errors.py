@@ -45,6 +45,11 @@ class UndecidableClass(QChar2Error):
     """Symbol-length machinery needs a triviality verdict it cannot get."""
 
 
+class RefutationCandidate(QChar2Error):
+    """A computed instance contradicts a theorem the library relies on;
+    the CLI exits with code 3 and the message names the instance."""
+
+
 class SearchExhausted(QChar2Error):
     """A verified search ran out of budget before finding a witness."""
 

@@ -10,10 +10,14 @@ Elements are represented exactly as iterated rational functions:
   are elements of level < j.
 
 Each level's polynomials belong to one private ring, which alone knows
-their format: `_PackedRing` packs F_2[t_1] into ints, `_TupleRing` keeps
-coefficient tuples.  `FieldTower.__init__` picks the ring of each level,
-packed for level 1 when k = 1 and tuples everywhere else; other modules
-read coefficients through `FieldElement.coefficients()`.  Fractions are
+their format: `_PackedRing` packs F_{2^k}[t_1] into ints, `_TupleRing`
+keeps coefficient tuples.  `FieldTower.__init__` picks the ring of each
+level: packed at level 1, tuples at levels >= 2.  In the packed format the
+coefficient of t_1^i sits in slot i, a field of w = 2k - 1 bits holding
+the k-bit mask of a base-field element, so a carry-less product of two
+packed ints never lets slots overlap; for k = 1 the slot is one bit and
+`_BinaryRing` skips the slot reduction.  Other modules read coefficients
+through `FieldElement.coefficients()`.  Fractions are
 kept canonical (gcd removed, denominator scaled so that its lowest-degree
 nonzero coefficient is 1, constant fractions collapsed to the lower
 level), so structural equality coincides with field equality and
@@ -65,8 +69,9 @@ class FieldTower:
         self.names = names
         self._build_base_tables()
         # the one choice of polynomial representation, per level
+        packed = _BinaryRing if base_exponent == 1 else _PackedRing
         self._rings = (None,) + tuple(
-            _PackedRing(self) if base_exponent == 1 and level == 1 else _TupleRing(self, level)
+            packed(self) if level == 1 else _TupleRing(self, level)
             for level in range(1, len(names) + 1)
         )
 
@@ -198,8 +203,9 @@ def tower(base_exponent: int, variable_names: tuple[str, ...] = ()) -> FieldTowe
 
 # -- polynomial rings, one per tower level ---------------------------------------
 #
-# Both offer `lift` (a lower-level element as a constant), `one`, `monomial`,
-# `add`, `mul`, `fraction` (the canonical element num/den), `val`, `coeffs`
+# Each offers `lift` (a lower-level element as a constant), `one`, `monomial`,
+# `add`, `mul`, `fraction` (the canonical element num/den), `coprime_fraction`
+# (the same for coprime num and den, without the gcd), `val`, `coeffs`
 # (ascending coefficient tuple), `derive` (in the ring's own variable) and
 # `sqrt` (of a polynomial, or None).
 
@@ -210,24 +216,156 @@ def _even_bits(n: int) -> int:
 
 
 class _PackedRing:
-    """F_2[t_1], level 1 of a k = 1 tower: bit i of an int is the
-    coefficient of t_1^i.  Its coefficients lie in F_2, so t_1 is the only
-    variable to differentiate by."""
+    """F_{2^k}[t_1], level 1 of every tower, packed into one int by
+    Kronecker substitution: the coefficient of t_1^i sits in slot i, bits
+    [i*w, i*w + k) with slot width w = 2k - 1, as the bit mask of a
+    base-field element.  A product of two slots has degree <= 2k - 2 in z,
+    so a carry-less product of two packed ints keeps its slots apart and
+    only has to be reduced slot by slot afterwards.  The coefficients lie
+    in F_{2^k}, so t_1 is the only variable to differentiate by.
+    """
 
     one = 1
 
     def __init__(self, tw):
+        k = self._k = tw.k
+        self._w = 2 * k - 1
+        self._kmask = tw.order - 1
         self.tower = tw
-        self._bits = (tw.zero(), tw.one())
+        self._base = tuple(FieldElement._base(tw, c) for c in range(tw.order))
+        self._inv = (0,) + tuple(tw.binv(c) for c in range(1, tw.order))
+        self._root = tuple(tw.bsqrt(c) for c in range(tw.order))
+        # z^k = g(z) modulo the field polynomial: the high part h of a slot
+        # folds back as h*g, one shifted copy per bit of g
+        g = _MODULI[k] ^ (1 << k)
+        self._fold = tuple(j for j in range(k) if g >> j & 1)
+        self._bits_of = tuple(tuple(j for j in range(k) if c >> j & 1) for c in range(tw.order))
+        self._covered = 0
+        self._cover(64 * self._w)
+
+    def _cover(self, nbits):
+        """Grow the per-slot masks to span at least nbits bits."""
+        w, k = self._w, self._k
+        slots = nbits // w + 2
+        self._covered = slots * w
+        every = ((1 << slots * w) - 1) // ((1 << w) - 1)       # bit 0 of each slot
+        even = ((1 << slots * w) - 1) // ((1 << 2 * w) - 1)    # bit 0 of each even slot
+        self._high = every * (self._kmask ^ ((1 << w) - 1))   # bits k..w-1 of each slot
+        self._even = even * self._kmask
+        self._odd = self._even << w
 
     def lift(self, c):
         return c.bits
 
     def monomial(self, e):
-        return 1 << e
+        return 1 << e * self._w
 
     def add(self, a, b):
         return a ^ b
+
+    def _reduce(self, p):
+        """Reduce every slot of p (at most w bits each) to k bits."""
+        if p.bit_length() > self._covered:
+            self._cover(p.bit_length())
+        mask, k, fold = self._high, self._k, self._fold
+        high = p & mask
+        while high:
+            p ^= high
+            high >>= k
+            for j in fold:
+                p ^= high << j
+            high = p & mask
+        return p
+
+    def mul(self, a, b):
+        out = 0
+        while a:
+            low = a & -a
+            out ^= b << (low.bit_length() - 1)
+            a ^= low
+        return self._reduce(out)
+
+    def _scale(self, a, c):
+        """a times the base-field element c."""
+        out = 0
+        for j in self._bits_of[c]:
+            out ^= a << j
+        return self._reduce(out)
+
+    def _divmod(self, a, b):
+        w, kmask, bits_of = self._w, self._kmask, self._bits_of
+        db = (b.bit_length() - 1) // w
+        inv = self._inv[b >> db * w]
+        # z^j times the monic divisor, so each step only shifts and xors
+        monic = self._scale(b, inv)
+        shifted = [monic] + [self._reduce(monic << j) for j in range(1, self._k)]
+        q = 0
+        while a:
+            da = (a.bit_length() - 1) // w
+            if da < db:
+                break
+            c = a >> da * w
+            shift = (da - db) * w
+            q |= c << shift
+            for j in bits_of[c]:
+                a ^= shifted[j] << shift
+        return self._scale(q, inv), a
+
+    def fraction(self, num, den):
+        if den == 0:
+            raise ZeroDivisionError("zero denominator")
+        if num == 0:
+            return FieldElement._base(self.tower, 0)
+        # gcd is only needed when both sides are non-constant
+        if num > self._kmask and den > self._kmask:
+            g, r = num, den
+            while r:
+                g, r = r, self._divmod(g, r)[1]
+            if g > self._kmask:
+                num, den = self._divmod(num, g)[0], self._divmod(den, g)[0]
+        return self.coprime_fraction(num, den)
+
+    def coprime_fraction(self, num, den):
+        """The canonical element num/den for coprime num and den: only the
+        unit rescaling and the collapse of constants remain."""
+        unit = den >> self.val(den) * self._w & self._kmask
+        if unit != 1:
+            inv = self._inv[unit]
+            num, den = self._scale(num, inv), self._scale(den, inv)
+        if den == 1 and num <= self._kmask:
+            return FieldElement._base(self.tower, num)
+        return FieldElement._make(self.tower, 1, num, den)
+
+    def val(self, a):
+        return ((a & -a).bit_length() - 1) // self._w
+
+    def coeffs(self, a):
+        base, kmask = self._base, self._kmask
+        return tuple(base[a >> i & kmask] for i in range(0, a.bit_length(), self._w))
+
+    def derive(self, a):
+        # the odd-degree terms survive, one degree lower
+        if a.bit_length() > self._covered:
+            self._cover(a.bit_length())
+        return (a >> self._w) & self._even
+
+    def sqrt(self, a):
+        if a.bit_length() > self._covered:
+            self._cover(a.bit_length())
+        if a & self._odd:
+            return None
+        root, kmask, step, i = 0, self._kmask, 2 * self._w, 0
+        while a:
+            root |= self._root[a & kmask] << i
+            a >>= step
+            i += self._w
+        return root
+
+
+class _BinaryRing(_PackedRing):
+    """`_PackedRing` for k = 1, where the slot width is 1: every int is a
+    reduced polynomial over F_2 and every nonzero lowest coefficient is 1,
+    so the generic slot handling drops out of the hot loops."""
 
     def mul(self, a, b):
         out = 0
@@ -261,15 +399,15 @@ class _PackedRing:
             return FieldElement._base(self.tower, num)
         return FieldElement._make(self.tower, 1, num, den)
 
+    def coprime_fraction(self, num, den):
+        if den == 1 and num <= 1:
+            return FieldElement._base(self.tower, num)
+        return FieldElement._make(self.tower, 1, num, den)
+
     def val(self, a):
         return (a & -a).bit_length() - 1
 
-    def coeffs(self, a):
-        bits = self._bits
-        return tuple(bits[a >> i & 1] for i in range(a.bit_length()))
-
     def derive(self, a):
-        # the odd-degree terms survive, one degree lower
         return (a >> 1) & _even_bits(a.bit_length())
 
     def sqrt(self, a):
@@ -360,6 +498,10 @@ class _TupleRing:
             if len(g) > 1:
                 num, _ = self._divmod(num, g)
                 den, _ = self._divmod(den, g)
+        return self.coprime_fraction(num, den)
+
+    def coprime_fraction(self, num, den):
+        """The canonical element num/den for coprime num and den."""
         unit = den[self.val(den)]
         if not unit.is_one():
             inv = unit.inverse()
@@ -520,7 +662,7 @@ class FieldElement:
             raise ZeroDivisionError("inverting 0")
         if self.level == 0:
             return FieldElement._base(self.tower, self.tower.binv(self.bits))
-        return self.tower._rings[self.level].fraction(self.den, self.num)
+        return self.tower._rings[self.level].coprime_fraction(self.den, self.num)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -781,12 +923,11 @@ def _series_coeffs(x: FieldElement, level: int, n: int) -> list[FieldElement]:
         raise NegativeValuation("series expansion at a pole")
     num, den = x.coefficients()
     num = num[vd:]
-    den = den[vd:]
-    inv0 = den[0].inverse()
+    den = den[vd:]     # den[0] is 1 in canonical form
     out = []
     rem = list(num) + [zero] * n
     for i in range(n):
-        c = rem[i] * inv0
+        c = rem[i]
         out.append(c)
         if not c.is_zero():
             for j, d in enumerate(den):

@@ -18,6 +18,7 @@ from .errors import (
     HypothesisViolated,
     LinkageHypothesisFailed,
     OracleFailure,
+    RefutationCandidate,
     SearchExhausted,
     UndecidableInstance,
     UnsupportedField,
@@ -132,9 +133,9 @@ def max_separable_linkage(
     iw = witt_index(orth_sum(ep, eq))
     r = iw.bit_length() - 1
     if 1 << r != iw:
-        raise AssertionError(
-            f"Witt index {iw} of a sum of anisotropic Pfister forms is not a"
-            " power of 2: refutation candidate, please report this instance"
+        raise RefutationCandidate(
+            f"Witt index {iw} of {orth_sum(ep, eq)}, a sum of anisotropic Pfister"
+            " forms, is not a power of 2"
         )
     witness = None
     if witness_budget:
@@ -401,7 +402,8 @@ def u_invariant_estimate(tw: FieldTower, n: int, samples: int = 200, seed: int =
     witness = canonical_witness(tw)
     verdict = isotropy(witness.expand())
     if not verdict.is_anisotropic:
-        raise AssertionError("canonical witness family must be anisotropic")
+        raise RefutationCandidate(
+            f"canonical witness {witness.expand()} over {tw.descriptor()} is not anisotropic")
     claimed = 2 ** (m + 1)
     sampler = Sampler(tw, seed)
     oversized = 0
@@ -431,9 +433,8 @@ def u_invariant_estimate(tw: FieldTower, n: int, samples: int = 200, seed: int =
         "undecided": undecided,
     }
     if oversized:
-        raise AssertionError(
-            f"sampled anisotropic dimension exceeded the claimed u^{n}:"
-            f" refutation candidate {evidence}"
+        raise RefutationCandidate(
+            f"sampled anisotropic dimension exceeded the claimed u^{n}: {evidence}"
         )
     return UEstimate(
         claimed,
@@ -755,7 +756,7 @@ def square_completion_isotropy(f: QuadraticForm, budget: int):
     """Isotropy of (nonsingular + quasilinear) by completing nonsingular
     values to squares through a quasilinear coordinate; exact witnesses
     when the value is an exact square, Hensel pairs otherwise."""
-    from .witt import _block_combos, _iso_exact, _iso_from_pair, candidate_scalars
+    from .witt import _basis_values, _block_combos, _iso_exact, _iso_from_values, candidate_scalars
 
     tw = f.tower
     if not f.quasilinear or not f.pairs:
@@ -773,6 +774,7 @@ def square_completion_isotropy(f: QuadraticForm, budget: int):
     one = tw.one()
     for i in range(2 * len(f.pairs)):
         basis.append(tuple(one if j == i else zero for j in range(f.dim)))
+    q_basis = _basis_values(f)
     tried = 0
     for coords, w in combos:
         tried += 1
@@ -794,8 +796,11 @@ def square_completion_isotropy(f: QuadraticForm, budget: int):
                 continue
             ql[j] = root
             v = coords + tuple(ql)
-            for u in basis:
-                got = _iso_from_pair(f, v, u)
+            qv = f.evaluate(v)
+            if qv.is_zero():
+                return _iso_exact(f, v)
+            for u, qu in zip(basis, q_basis):
+                got = _iso_from_values(f, v, u, qv, qu)
                 if got is not None:
                     return got
     return None

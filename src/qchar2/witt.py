@@ -91,12 +91,12 @@ def hensel_pair_applies(f: QuadraticForm, v, u) -> bool:
     """
     qv = f.evaluate(v)
     # q(v) = 0 is the exact case, handled elsewhere
-    return not qv.is_zero() and _hensel_line(f, v, u, qv) is not None
+    return not qv.is_zero() and _hensel_line(f, v, u, qv, f.evaluate(u)) is not None
 
 
-def _hensel_line(f: QuadraticForm, v, u, qv):
-    """For q(v) != 0: (B(v,u), q(u), level) when the line v + lambda*u
-    carries a zero of q over the completion, else None.
+def _hensel_line(f: QuadraticForm, v, u, qv, qu):
+    """For q(v) != 0: (B(v,u), level) when the line v + lambda*u carries a
+    zero of q over the completion, else None.
 
     level is None when q(u) = 0, where lambda = q(v)/B is an exact zero.
     Otherwise it is the level at which the Hensel inequality holds.
@@ -104,15 +104,14 @@ def _hensel_line(f: QuadraticForm, v, u, qv):
     b = f.polar(v, u)
     if b.is_zero():
         return None
-    qu = f.evaluate(u)
     if qu.is_zero():
-        return b, qu, None
+        return b, None
     # the lifting argument only involves the three values on the line
     # v + lambda*u; their own outermost variable is where Hensel runs
     level = max(qv.level, qu.level, b.level)
     if level == 0 or not qv.valuation(level) + qu.valuation(level) > 2 * b.valuation(level):
         return None
-    return b, qu, level
+    return b, level
 
 
 def _iso_from_pair(f: QuadraticForm, v, u) -> IsotropyVerdict | None:
@@ -122,10 +121,16 @@ def _iso_from_pair(f: QuadraticForm, v, u) -> IsotropyVerdict | None:
         if any(not x.is_zero() for x in v):
             return _iso_exact(f, v)
         return None
-    line = _hensel_line(f, v, u, qv)
+    return _iso_from_values(f, v, u, qv, f.evaluate(u))
+
+
+def _iso_from_values(f: QuadraticForm, v, u, qv, qu) -> IsotropyVerdict | None:
+    """`_iso_from_pair` for q(v) != 0, with q(v) and q(u) already computed,
+    so that a search evaluates each candidate and partner only once."""
+    line = _hensel_line(f, v, u, qv, qu)
     if line is None:
         return None
-    b, qu, level = line
+    b, level = line
     if level is None:
         lam = qv / b
         return _iso_exact(f, tuple(x + lam * y for x, y in zip(v, u)))
@@ -139,6 +144,15 @@ def _iso_from_pair(f: QuadraticForm, v, u) -> IsotropyVerdict | None:
         "val_b": b.valuation(level),
     }
     return IsotropyVerdict("isotropic", None, cert, hensel_data=(tuple(v), tuple(u)))
+
+
+def _basis_values(f: QuadraticForm) -> list[FieldElement]:
+    """q(e_i) on the standard basis: b and b*a per pair, then each
+    quasilinear entry c."""
+    out = []
+    for b, a in f.pairs:
+        out += [b, b * a]
+    return out + list(f.quasilinear)
 
 
 def _pad(tw, coords, total, offset):
@@ -381,11 +395,12 @@ def _lift_residue_isotropy(f, sub, res_form, idx_list, level, part):
         if qv.is_zero():
             return _iso_exact(f, v)
         # partner: basis vector paired to a nonzero witness coordinate
+        q_basis = _basis_values(f)
         for j, i in enumerate(idx_list):
             for flip in (1, 0):
                 if not sub.witness[2 * j + (1 - flip)].is_zero():
                     u = _pad(tw, (tw.one(),), f.dim, 2 * i + flip)
-                    got = _iso_from_pair(f, v, u)
+                    got = _iso_from_values(f, v, u, qv, q_basis[2 * i + flip])
                     if got is not None:
                         return got
         return None
@@ -695,16 +710,20 @@ def brute_search(f: QuadraticForm, budget: int = DEFAULT_SEARCH_BUDGET) -> Isotr
     # Hensel pass: candidates against coordinate directions
     zero, one = tw.zero(), tw.one()
     basis = [tuple(one if j == i else zero for j in range(f.dim)) for i in range(f.dim)]
+    q_basis = _basis_values(f)
     cand = [c + (zero,) * (f.dim - len(c)) for c, _ in left[: min(len(left), 64)]]
     hensel_tried = 0
-    for v in list(basis) + cand:
+    for i, v in enumerate(basis + cand):
         if all(x.is_zero() for x in v):
             continue
         if hensel_tried > budget:
             break
-        for u in basis:
+        qv = q_basis[i] if i < f.dim else f.evaluate(v)
+        if qv.is_zero():
+            return _iso_exact(f, v)
+        for u, qu in zip(basis, q_basis):
             hensel_tried += 1
-            got = _iso_from_pair(f, v, u)
+            got = _iso_from_values(f, v, u, qv, qu)
             if got is not None:
                 return got
     report = {

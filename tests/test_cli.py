@@ -260,3 +260,36 @@ class TestHypothesisViolations:
     def test_exit_two_without_traceback(self, capsys, argv):
         assert main(argv) == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestRefutationCandidates:
+    def test_non_power_of_two_witt_index_exits_three(self, capsys, monkeypatch):
+        import qchar2.linkage
+
+        monkeypatch.setattr(qchar2.linkage, "witt_index", lambda f: 3)
+        code = main(["linkage", "max", "--field", "F2((t1))((t2))",
+                     "--p", "<<t1,1]]", "--q", "<<t2,1]]"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("refutation candidate:") and "Traceback" not in err
+        assert "Witt index 3" in err
+
+    def test_survives_optimized_mode(self):
+        # a bare assert or AssertionError would vanish or change under -O
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import qchar2
+
+        env = {**os.environ, "PYTHONPATH": str(Path(qchar2.__file__).parents[1])}
+        script = (
+            "import qchar2.linkage as L, qchar2.cli as C; L.witt_index = lambda f: 3;"
+            "raise SystemExit(C.main(['linkage', 'max', '--field', 'F2((t1))((t2))',"
+            " '--p', '<<t1,1]]', '--q', '<<t2,1]]']))"
+        )
+        done = subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, text=True, env=env)
+        assert done.returncode == 3, done.stderr
+        assert "Traceback" not in done.stderr

@@ -5,9 +5,10 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qchar2.errors import LevelError, NegativeValuation, ZeroInput
-from qchar2.fields import tower, wp, wp_reduce
+from qchar2.fields import _TupleRing, tower, wp, wp_reduce
 from qchar2.parsing import format_element, parse_element, parse_field
 
 F2 = tower(1)
@@ -277,6 +278,79 @@ class TestFormatting:
     def test_roundtrip_f4(self):
         x = parse_element(F4, "z+1")
         assert parse_element(F4, format_element(x)) == x
+
+
+# -- the packed level-1 ring against the coefficient-tuple reference ----------------
+#
+# Level 1 is packed for every k; `_TupleRing(tw, 1)` keeps the generic
+# coefficient-tuple algorithms, so each packed result must match it.
+
+PACKED_TOWERS = {k: tower(k, ("t",)) for k in (1, 2, 3, 8)}
+
+
+def _packed_and_tuple(tw, cs):
+    """One polynomial, given by its base-field coefficient masks, in both
+    formats: the packed int and the normalized element tuple."""
+    ring = tw._rings[1]
+    packed = 0
+    for i, c in enumerate(cs):
+        packed = ring.add(packed, ring.mul(ring.lift(tw.base_element(c)), ring.monomial(i)))
+    return packed, _TupleRing._norm(tuple(tw.base_element(c) for c in cs))
+
+
+def _poly_pairs(k):
+    coeff = st.integers(0, (1 << k) - 1)
+    poly = st.lists(coeff, min_size=1, max_size=7)
+    return st.tuples(poly, poly)
+
+
+def _element_parts(x):
+    """num and den of a tuple-ring element as coefficient tuples."""
+    if x.level == 0:
+        return (x,), (x.tower.one(),)
+    return x.num, x.den
+
+
+@pytest.mark.parametrize("k", [2, 3, 8])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_packed_ring_matches_tuple_ring(k, data):
+    tw = PACKED_TOWERS[k]
+    ring, ref = tw._rings[1], _TupleRing(tw, 1)
+    cs_a, cs_b = data.draw(_poly_pairs(k))
+    a, ta = _packed_and_tuple(tw, cs_a)
+    b, tb = _packed_and_tuple(tw, cs_b)
+    assert ring.coeffs(a) == ta
+    assert ring.coeffs(ring.mul(a, b)) == ref.mul(ta, tb)
+    assert ring.coeffs(ring.derive(a)) == ref.derive(ta)
+    for p, tp in ((a, ta), (ring.mul(a, a), ref.mul(ta, ta))):
+        root = ring.sqrt(p)
+        want = ref.sqrt(tp)
+        assert (root is None) == (want is None)
+        if root is not None:
+            assert ring.coeffs(root) == _TupleRing._norm(want)
+    if not ta or not tb:
+        return
+    assert ring.val(a) == ref.val(ta)
+    got, want = ring.fraction(a, b), ref.fraction(ta, tb)
+    assert got.level == want.level
+    if got.level == 0:
+        assert got == want
+    else:
+        assert got.coefficients() == _element_parts(want)
+    assert got.inverse() * got == tw.one()
+
+
+def test_inverse_skips_the_gcd(monkeypatch):
+    # a canonical fraction is already coprime: inverting only rescales
+    for k in (1, 2):
+        tw = PACKED_TOWERS[k]
+        x = el(tw, "(t^3+t+1)/(t^2+1)" if k == 1 else "(z*t^3+t+z)/(t^2+z)")
+        ring = tw._rings[1]
+        want = ring.fraction(x.den, x.num)
+        monkeypatch.setattr(ring, "_divmod", lambda *a: pytest.fail("gcd in inverse"))
+        assert x.inverse() == want
+        monkeypatch.undo()
 
 
 # -- canonical forms, pinned ------------------------------------------------------

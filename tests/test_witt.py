@@ -331,3 +331,21 @@ def search_record():
 def test_search_outputs_are_pinned():
     record = search_record()
     assert hashlib.sha256(record.encode()).hexdigest() == SEARCH_SHA256
+
+
+def test_brute_search_evaluates_each_candidate_once(monkeypatch):
+    f = parse_form(F2T, "[1,1/t]+(1+t)*[1,1/t]")
+    calls = []
+    evaluate = QuadraticForm.evaluate
+
+    def counted(self, vector):
+        calls.append(vector)
+        return evaluate(self, vector)
+
+    monkeypatch.setattr(QuadraticForm, "evaluate", counted)
+    v = brute_search(f)
+    assert v.kind == "undecided" and f.dim == 4
+    # the Hensel pass pairs each candidate with every basis vector
+    candidates = -(-v.budget_report["hensel_tried"] // f.dim)
+    assert candidates > f.dim
+    assert len(calls) <= candidates + f.dim
