@@ -215,6 +215,16 @@ def _even_bits(n: int) -> int:
     return (4 ** ((n + 1) // 2) - 1) // 3
 
 
+def _clmul(a, b):
+    """Carry-less product: a and b as polynomials over F_2 in their bits."""
+    out = 0
+    while a:
+        low = a & -a
+        out ^= b << (low.bit_length() - 1)
+        a ^= low
+    return out
+
+
 class _PackedRing:
     """F_{2^k}[t_1], level 1 of every tower, packed into one int by
     Kronecker substitution: the coefficient of t_1^i sits in slot i, bits
@@ -278,12 +288,7 @@ class _PackedRing:
         return p
 
     def mul(self, a, b):
-        out = 0
-        while a:
-            low = a & -a
-            out ^= b << (low.bit_length() - 1)
-            a ^= low
-        return self._reduce(out)
+        return self._reduce(_clmul(a, b))
 
     def _scale(self, a, c):
         """a times the base-field element c."""
@@ -367,13 +372,7 @@ class _BinaryRing(_PackedRing):
     reduced polynomial over F_2 and every nonzero lowest coefficient is 1,
     so the generic slot handling drops out of the hot loops."""
 
-    def mul(self, a, b):
-        out = 0
-        while a:
-            low = a & -a
-            out ^= b << (low.bit_length() - 1)
-            a ^= low
-        return out
+    mul = staticmethod(_clmul)
 
     @staticmethod
     def _divmod(a, b):
