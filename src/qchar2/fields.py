@@ -250,12 +250,11 @@ class _PackedRing:
         g = _MODULI[k] ^ (1 << k)
         self._fold = tuple(j for j in range(k) if g >> j & 1)
         self._bits_of = tuple(tuple(j for j in range(k) if c >> j & 1) for c in range(tw.order))
-        self._covered = 0
         self._cover(64 * self._w)
 
     def _cover(self, nbits):
         """Grow the per-slot masks to span at least nbits bits."""
-        w, k = self._w, self._k
+        w = self._w
         slots = nbits // w + 2
         self._covered = slots * w
         every = ((1 << slots * w) - 1) // ((1 << w) - 1)       # bit 0 of each slot
@@ -298,7 +297,7 @@ class _PackedRing:
         return self._reduce(out)
 
     def _divmod(self, a, b):
-        w, kmask, bits_of = self._w, self._kmask, self._bits_of
+        w, bits_of = self._w, self._bits_of
         db = (b.bit_length() - 1) // w
         inv = self._inv[b >> db * w]
         # z^j times the monic divisor, so each step only shifts and xors
