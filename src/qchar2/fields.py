@@ -255,7 +255,9 @@ class _PackedRing:
     def _cover(self, nbits):
         """Grow the per-slot masks to span at least nbits bits."""
         w = self._w
+        # the even-slot quotient below is exact only for an even slot count
         slots = nbits // w + 2
+        slots += slots & 1
         self._covered = slots * w
         every = ((1 << slots * w) - 1) // ((1 << w) - 1)       # bit 0 of each slot
         even = ((1 << slots * w) - 1) // ((1 << 2 * w) - 1)    # bit 0 of each even slot
@@ -382,20 +384,6 @@ class _BinaryRing(_PackedRing):
             q ^= 1 << shift
             a ^= b << shift
         return q, a
-
-    def fraction(self, num, den):
-        if den == 0:
-            raise ZeroDivisionError("zero denominator")
-        if num == 0:
-            return FieldElement._base(self.tower, 0)
-        g, r = num, den
-        while r:
-            g, r = r, self._divmod(g, r)[1]
-        if g > 1:
-            num, den = self._divmod(num, g)[0], self._divmod(den, g)[0]
-        if den == 1 and num <= 1:
-            return FieldElement._base(self.tower, num)
-        return FieldElement._make(self.tower, 1, num, den)
 
     def coprime_fraction(self, num, den):
         if den == 1 and num <= 1:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qchar2.errors import LevelError, NegativeValuation, ZeroInput
-from qchar2.fields import _TupleRing, tower, wp, wp_reduce
+from qchar2.fields import _PackedRing, _TupleRing, tower, wp, wp_reduce
 from qchar2.parsing import format_element, parse_element, parse_field
 
 F2 = tower(1)
@@ -339,6 +339,31 @@ def test_packed_ring_matches_tuple_ring(k, data):
     else:
         assert got.coefficients() == _element_parts(want)
     assert got.inverse() * got == tw.one()
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_packed_ring_beyond_its_first_masks(k):
+    # a fresh ring's masks cover 66 slots; t^67 makes them grow first, and
+    # every later polynomial fits in the grown masks, which must still mark
+    # the right slots
+    tw = PACKED_TOWERS[k]
+    ring, ref = _PackedRing(tw), _TupleRing(tw, 1)
+    t67 = ring.mul(ring.monomial(34), ring.monomial(33))
+    assert ring.coeffs(t67) == ref.monomial(67)
+    rng = random.Random(k)
+    p33, _ = _packed_and_tuple(tw, [rng.randrange(1 << k) for _ in range(33)] + [1])
+    z66 = ring.mul(ring.lift(tw.base_element(2)), ring.monomial(66))
+    den, tden = _packed_and_tuple(tw, [1, 2, 0, 1])
+    for p in (t67, ring.add(t67, z66), ring.mul(p33, p33)):
+        tp = ring.coeffs(p)
+        assert ring.coeffs(ring.derive(p)) == ref.derive(tp)
+        root, want = ring.sqrt(p), ref.sqrt(tp)
+        assert (root is None) == (want is None)
+        if root is not None:
+            assert ring.coeffs(root) == _TupleRing._norm(want)
+        for (a, ta), (b, tb) in (((p, tp), (den, tden)), ((den, tden), (p, tp))):
+            assert ring.fraction(a, b).coefficients() == _element_parts(ref.fraction(ta, tb))
+    assert ring.sqrt(ring.mul(p33, p33)) == p33
 
 
 def test_inverse_skips_the_gcd(monkeypatch):
