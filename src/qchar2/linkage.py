@@ -755,19 +755,26 @@ def _approx_sqrt(x: FieldElement):
 def square_completion_isotropy(f: QuadraticForm, budget: int):
     """Isotropy of (nonsingular + quasilinear) by completing nonsingular
     values to squares through a quasilinear coordinate; exact witnesses
-    when the value is an exact square, Hensel pairs otherwise."""
-    from .witt import _basis_values, _block_combos, _iso_exact, _iso_from_values, candidate_scalars
+    when the value is an exact square, Hensel pairs otherwise.
+
+    A candidate's q(v) is its block value w plus c * root^2, and its row
+    B(v, e_i) comes from `_polar_row`, once per nonsingular combination."""
+    from .witt import (
+        _basis_values,
+        _block_combos,
+        _iso_exact,
+        _iso_from_values,
+        _pair_blocks,
+        _polar_row,
+        candidate_scalars,
+    )
 
     tw = f.tower
     if not f.quasilinear or not f.pairs:
         return None
     pool = candidate_scalars(tw, budget)
-    per = max(3, int(budget ** 0.2))
-    small = pool[:per]
-    blocks = []
-    for b, a in f.pairs:
-        blocks.append([((x, y), b * (x * x + x * y + a * y * y)) for x in small for y in small])
-    combos = _block_combos(tw, blocks, budget)
+    small = pool[: max(3, int(budget ** 0.2))]
+    combos = _block_combos(tw, _pair_blocks(f, small), budget)
     zero = tw.zero()
     nq = len(f.quasilinear)
     basis = []
@@ -784,6 +791,7 @@ def square_completion_isotropy(f: QuadraticForm, budget: int):
             if any(not x.is_zero() for x in coords):
                 return _iso_exact(f, coords + (zero,) * nq)
             continue
+        row = None
         for j, c in enumerate(f.quasilinear):
             target = w / c
             root = target.sqrt()
@@ -796,11 +804,14 @@ def square_completion_isotropy(f: QuadraticForm, budget: int):
                 continue
             ql[j] = root
             v = coords + tuple(ql)
-            qv = f.evaluate(v)
+            qv = w + c * (root * root)
             if qv.is_zero():
                 return _iso_exact(f, v)
-            for u, qu in zip(basis, q_basis):
-                got = _iso_from_values(f, v, u, qv, qu)
+            if row is None:
+                # quasilinear coordinates are radical: the row depends on coords alone
+                row = _polar_row(f, v)
+            for u, qu, b in zip(basis, q_basis, row):
+                got = _iso_from_values(f, v, u, qv, qu, b)
                 if got is not None:
                     return got
     return None

@@ -30,6 +30,7 @@ from .errors import (
     DimensionTooSmall,
     HypothesisViolated,
     NotNormalized,
+    RefutationCandidate,
     SearchExhausted,
     UndecidableClass,
     UndecidableInstance,
@@ -224,7 +225,9 @@ def splitting_slots(f: QuadraticForm, n: int):
         "conclusion": "anisotropic part would need dimension >= 2^n; residual is hyperbolic",
     }
     if residual_dim != 2 ** n - 2:
-        raise AssertionError("residual dimension must be 2^n - 2")
+        raise RefutationCandidate(
+            f"the residual of {f} at fold {n} has dimension {residual_dim}, not 2^{n} - 2"
+        )
     return slots, DecompositionProof(chain, hauptsatz)
 
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import SingularInput, UndecidableInstance
+from .errors import RefutationCandidate, SingularInput, UndecidableInstance
 from .fields import (
     FieldElement,
     FieldTower,
@@ -73,9 +73,11 @@ def _vec_str(v):
 def _iso_exact(f: QuadraticForm, v) -> IsotropyVerdict:
     value = f.evaluate(v)
     if not value.is_zero():
-        raise AssertionError("exact witness does not evaluate to zero")
+        raise RefutationCandidate(
+            f"witness ({', '.join(_vec_str(v))}) of {f} evaluates to {value}, not 0"
+        )
     if all(x.is_zero() for x in v):
-        raise AssertionError("zero vector is not a witness")
+        raise RefutationCandidate(f"the zero vector was offered as a witness of {f}")
     return IsotropyVerdict(
         "isotropic", tuple(v), {"rule": "exact-zero", "witness": _vec_str(v)}
     )
@@ -88,30 +90,31 @@ def hensel_pair_applies(f: QuadraticForm, v, u) -> bool:
     When it holds, q has an exact zero v + lambda*u over the completion:
     substituting lambda = (q(v)/B) * kappa turns q(v + lambda u) = 0 into
     kappa^2 * eps + kappa + 1 = 0 with val(eps) > 0, solvable by Hensel.
+    All three values are computed here from f, never taken from a search.
     """
     qv = f.evaluate(v)
     # q(v) = 0 is the exact case, handled elsewhere
-    return not qv.is_zero() and _hensel_line(f, v, u, qv, f.evaluate(u)) is not None
+    return not qv.is_zero() and _hensel_line(qv, f.evaluate(u), f.polar(v, u)) is not None
 
 
-def _hensel_line(f: QuadraticForm, v, u, qv, qu):
-    """For q(v) != 0: (B(v,u), level) when the line v + lambda*u carries a
-    zero of q over the completion, else None.
+def _hensel_line(qv, qu, b):
+    """Whether the line v + lambda*u carries a zero of q over the
+    completion, from its three values: qv = q(v) != 0, qu = q(u) and
+    b = B(v, u).
 
-    level is None when q(u) = 0, where lambda = q(v)/B is an exact zero.
-    Otherwise it is the level at which the Hensel inequality holds.
+    None when it does not; 0 when q(u) = 0, where lambda = q(v)/b is an
+    exact zero; otherwise the level at which the Hensel inequality holds.
     """
-    b = f.polar(v, u)
     if b.is_zero():
         return None
     if qu.is_zero():
-        return b, None
+        return 0
     # the lifting argument only involves the three values on the line
     # v + lambda*u; their own outermost variable is where Hensel runs
     level = max(qv.level, qu.level, b.level)
     if level == 0 or not qv.valuation(level) + qu.valuation(level) > 2 * b.valuation(level):
         return None
-    return b, level
+    return level
 
 
 def _iso_from_pair(f: QuadraticForm, v, u) -> IsotropyVerdict | None:
@@ -121,17 +124,17 @@ def _iso_from_pair(f: QuadraticForm, v, u) -> IsotropyVerdict | None:
         if any(not x.is_zero() for x in v):
             return _iso_exact(f, v)
         return None
-    return _iso_from_values(f, v, u, qv, f.evaluate(u))
+    return _iso_from_values(f, v, u, qv, f.evaluate(u), f.polar(v, u))
 
 
-def _iso_from_values(f: QuadraticForm, v, u, qv, qu) -> IsotropyVerdict | None:
-    """`_iso_from_pair` for q(v) != 0, with q(v) and q(u) already computed,
-    so that a search evaluates each candidate and partner only once."""
-    line = _hensel_line(f, v, u, qv, qu)
-    if line is None:
-        return None
-    b, level = line
+def _iso_from_values(f: QuadraticForm, v, u, qv, qu, b) -> IsotropyVerdict | None:
+    """`_iso_from_pair` for q(v) != 0, with q(v), q(u) and b = B(v, u)
+    already computed, so that a search does no form-wide arithmetic per
+    (candidate, partner) pair."""
+    level = _hensel_line(qv, qu, b)
     if level is None:
+        return None
+    if level == 0:
         lam = qv / b
         return _iso_exact(f, tuple(x + lam * y for x, y in zip(v, u)))
     cert = {
@@ -153,6 +156,30 @@ def _basis_values(f: QuadraticForm) -> list[FieldElement]:
     for b, a in f.pairs:
         out += [b, b * a]
     return out + list(f.quasilinear)
+
+
+def _polar_row(f: QuadraticForm, v) -> list[FieldElement]:
+    """B(v, e_i) on the standard basis: b*y and b*x for each pair's
+    coordinates (x, y) in v, then 0 for each quasilinear entry, which is
+    radical.  Zero coordinates, which most search candidates have, cost
+    no multiply."""
+    zero = f.tower.zero()
+    out = []
+    for p, (b, _) in enumerate(f.pairs):
+        x, y = v[2 * p], v[2 * p + 1]
+        out += [b * y if y else zero, b * x if x else zero]
+    return out + [zero] * len(f.quasilinear)
+
+
+def _pair_blocks(f: QuadraticForm, small) -> list[list]:
+    """Per pair (b, a), the block of ((x, y), b(x^2 + xy + a y^2)) over
+    x, y in `small`, x outermost.  x^2 + xy and y^2 are shared by every
+    pair, so each value costs two multiplies and one add."""
+    squares = [x * x for x in small]
+    shared = [
+        ((x, y), sx + x * y, sy) for x, sx in zip(small, squares) for y, sy in zip(small, squares)
+    ]
+    return [[(xy, b * (h + a * sy)) for xy, h, sy in shared] for b, a in f.pairs]
 
 
 def _pad(tw, coords, total, offset):
@@ -400,7 +427,7 @@ def _lift_residue_isotropy(f, sub, res_form, idx_list, level, part):
             for flip in (1, 0):
                 if not sub.witness[2 * j + (1 - flip)].is_zero():
                     u = _pad(tw, (tw.one(),), f.dim, 2 * i + flip)
-                    got = _iso_from_values(f, v, u, qv, q_basis[2 * i + flip])
+                    got = _iso_from_values(f, v, u, qv, q_basis[2 * i + flip], f.polar(v, u))
                     if got is not None:
                         return got
         return None
@@ -436,7 +463,10 @@ def _finite_nonsingular(f: QuadraticForm) -> IsotropyVerdict:
             v = [tw.zero()] * f.dim
             v[0], v[1], v[2] = x, y, tw.one()
             return _iso_exact(f, tuple(v))
-    raise AssertionError("anisotropic binary form over a finite field must be universal")
+    raise RefutationCandidate(
+        f"the anisotropic binary piece [1,{a1}] of {f} does not represent {target}"
+        " over a finite field, where every such piece is universal"
+    )
 
 
 def _isotropy_mixed(f: QuadraticForm, budget: int) -> IsotropyVerdict:
@@ -662,20 +692,19 @@ def brute_search(f: QuadraticForm, budget: int = DEFAULT_SEARCH_BUDGET) -> Isotr
     binary pieces, so `budget` counts covered combinations), then scans a
     smaller candidate list for Hensel pairs that certify a zero of the
     completion.  Deterministic for a fixed budget.
+
+    The Hensel pass evaluates nothing form-wide.  q(e_i) comes from
+    `_basis_values`; q(v) of a candidate from the left half of the
+    meet-in-the-middle is its accumulated block value, which is q of the
+    zero-padded vector; and the row B(v, e_i) is one coordinate of v times
+    a b-slot (`_polar_row`).  Only a returned witness is evaluated, by
+    `_iso_exact`.
     """
     tw = f.tower
     if f.dim == 0:
         return IsotropyVerdict("undecided", None, None, {"reason": "empty form"})
     pool = candidate_scalars(tw, budget)
-    blocks = []          # per block: list of (coords tuple, value)
-    for b, a in f.pairs:
-        per = max(2, int(budget ** 0.25))
-        vals = []
-        small = pool[: max(3, per)]
-        for x in small:
-            for y in small:
-                vals.append(((x, y), b * (x * x + x * y + a * y * y)))
-        blocks.append(vals)
+    blocks = _pair_blocks(f, pool[: max(3, int(budget ** 0.25))])
     for c in f.quasilinear:
         vals = [((x,), c * x * x) for x in pool[: max(3, int(budget ** 0.5))]]
         blocks.append(vals)
@@ -711,19 +740,18 @@ def brute_search(f: QuadraticForm, budget: int = DEFAULT_SEARCH_BUDGET) -> Isotr
     zero, one = tw.zero(), tw.one()
     basis = [tuple(one if j == i else zero for j in range(f.dim)) for i in range(f.dim)]
     q_basis = _basis_values(f)
-    cand = [c + (zero,) * (f.dim - len(c)) for c, _ in left[: min(len(left), 64)]]
+    cand = [(c + (zero,) * (f.dim - len(c)), value) for c, value in left[:64]]
     hensel_tried = 0
-    for i, v in enumerate(basis + cand):
+    for v, qv in list(zip(basis, q_basis)) + cand:
         if all(x.is_zero() for x in v):
             continue
         if hensel_tried > budget:
             break
-        qv = q_basis[i] if i < f.dim else f.evaluate(v)
         if qv.is_zero():
             return _iso_exact(f, v)
-        for u, qu in zip(basis, q_basis):
+        for u, qu, b in zip(basis, q_basis, _polar_row(f, v)):
             hensel_tried += 1
-            got = _iso_from_values(f, v, u, qv, qu)
+            got = _iso_from_values(f, v, u, qv, qu, b)
             if got is not None:
                 return got
     report = {

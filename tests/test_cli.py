@@ -274,6 +274,18 @@ class TestRefutationCandidates:
         assert err.startswith("refutation candidate:") and "Traceback" not in err
         assert "Witt index 3" in err
 
+    def test_false_exact_witness_exits_three(self, capsys, monkeypatch):
+        import qchar2.witt
+
+        # e_1 takes the value 1 on the form, so it is not a zero of it
+        monkeypatch.setattr(qchar2.witt, "_diagonal_witness",
+                            lambda f: (f.tower.one(),) + (f.tower.zero(),) * (f.dim - 1))
+        code = main(["witt", "isotropy", "--field", "F2((t))", "[1,1/t]+t*[1,1/t]"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("refutation candidate:") and "Traceback" not in err
+        assert "[1,1/t]" in err
+
     def test_survives_optimized_mode(self):
         # a bare assert or AssertionError would vanish or change under -O
         import os

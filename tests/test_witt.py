@@ -5,6 +5,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qchar2.errors import SingularInput
 from qchar2.fields import tower, wp
@@ -13,7 +14,11 @@ from qchar2.linkage import square_completion_isotropy
 from qchar2.parsing import parse_element, parse_form
 from qchar2.witt import (
     IsotropyVerdict,
+    _block_combos,
+    _pair_blocks,
+    _polar_row,
     brute_search,
+    candidate_scalars,
     is_hyperbolic,
     isotropy,
     verify_certificate,
@@ -349,3 +354,87 @@ def test_brute_search_evaluates_each_candidate_once(monkeypatch):
     candidates = -(-v.budget_report["hensel_tried"] // f.dim)
     assert candidates > f.dim
     assert len(calls) <= candidates + f.dim
+
+
+def test_brute_search_hensel_pass_makes_no_form_wide_call(monkeypatch):
+    f = parse_form(F2T, "[1,1/t]+(1+t)*[1,1/t]")
+    calls = {"evaluate": 0, "polar": 0}
+
+    def counting(name):
+        method = getattr(QuadraticForm, name)
+
+        def counted(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(QuadraticForm, name, counting(name))
+    v = brute_search(f)
+    assert v.kind == "undecided"
+    # the same pairs as when every pair called polar and each candidate evaluate
+    assert v.budget_report["hensel_tried"] == 268
+    assert calls == {"evaluate": 0, "polar": 0}
+
+
+# -- the identities the searches' arithmetic rests on ----------------------------------
+
+IDENTITY_TOWERS = [tower(1, ("t",)), tower(2, ("t",)), tower(1, ("t1", "t2"))]
+IDENTITY_CASES = settings(max_examples=40, deadline=None)
+
+
+def _scalar(tw):
+    """A sum of one or two base-field multiples of Laurent monomials, over
+    1 + t_m half the time; may be zero."""
+    term = st.tuples(
+        st.integers(0, tw.order - 1),
+        st.lists(st.integers(-2, 2), min_size=tw.height, max_size=tw.height),
+    )
+
+    def build(terms, over_one_plus_t):
+        x = tw.zero()
+        for c, exponents in terms:
+            y = tw.base_element(c)
+            for level, e in enumerate(exponents, 1):
+                y = y * tw.monomial(level, e)
+            x = x + y
+        return x / (tw.one() + tw.gen(tw.height)) if over_one_plus_t else x
+
+    return st.builds(build, st.lists(term, min_size=1, max_size=2), st.booleans())
+
+
+def _form(tw):
+    nonzero = _scalar(tw).filter(lambda x: not x.is_zero())
+    return st.builds(
+        lambda pairs, ql: QuadraticForm(tw, tuple(pairs), tuple(ql)),
+        st.lists(st.tuples(nonzero, _scalar(tw)), min_size=1, max_size=2),
+        st.lists(nonzero, max_size=2),
+    )
+
+
+@pytest.mark.parametrize("tw", IDENTITY_TOWERS, ids=lambda tw: tw.descriptor())
+@IDENTITY_CASES
+@given(data=st.data())
+def test_polar_row_is_the_polar_form_on_the_basis(tw, data):
+    f = data.draw(_form(tw))
+    v = tuple(data.draw(st.lists(_scalar(tw), min_size=f.dim, max_size=f.dim)))
+    row = _polar_row(f, v)
+    assert len(row) == f.dim
+    for i, b in enumerate(row):
+        e = tuple(tw.one() if j == i else tw.zero() for j in range(f.dim))
+        assert b == f.polar(v, e)
+
+
+@pytest.mark.parametrize("tw", IDENTITY_TOWERS, ids=lambda tw: tw.descriptor())
+@IDENTITY_CASES
+@given(data=st.data())
+def test_block_combo_values_are_form_values(tw, data):
+    f = data.draw(_form(tw))
+    budget = data.draw(st.sampled_from((16, 100, 1000)))
+    pool = candidate_scalars(tw, budget)
+    # the blocks brute_search builds, pairs first, then quasilinear entries
+    blocks = _pair_blocks(f, pool[:3]) + [[((x,), c * x * x) for x in pool[:4]] for c in f.quasilinear]
+    prefix = data.draw(st.integers(1, len(blocks)))
+    for coords, value in _block_combos(tw, blocks[:prefix], budget):
+        padded = coords + (tw.zero(),) * (f.dim - len(coords))
+        assert value == f.evaluate(padded)
