@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from qchar2.errors import SingularInput
 from qchar2.fields import tower, wp
 from qchar2.forms import QuadraticForm, QuadraticPfister, orth_sum, scale
-from qchar2.linkage import square_completion_isotropy
-from qchar2.parsing import parse_element, parse_form
+from qchar2.linkage import augmented_sum_index_check, square_completion_isotropy
+from qchar2.parsing import parse_element, parse_field, parse_form
 from qchar2.witt import (
     IsotropyVerdict,
     _block_combos,
@@ -336,6 +336,63 @@ def search_record():
 def test_search_outputs_are_pinned():
     record = search_record()
     assert hashlib.sha256(record.encode()).hexdigest() == SEARCH_SHA256
+
+
+# -- decider outputs, pinned --------------------------------------------------------
+#
+# Every field of every `isotropy` verdict over seeded forms whose bounded-search
+# paths turn candidates into verdicts: the residue lift of an exact residue zero
+# with q(v) != 0 (found and not found), the wild-mixture fallback and both mixed
+# fallbacks (each isotropic and undecided); then the chains of
+# `augmented_sum_index_check`, through square completion and the brute fallback.
+
+DECIDER_TOWERS = [tower(1, ("t",)), tower(2, ("t",)), tower(1, ("t1", "t2"))]
+DECIDER_BUDGETS = (100, 4096)
+DECIDER_FORMS = 40
+DECIDER_CHAINS = [
+    # (field, rho slot, rho a-slot, alpha, beta, gamma)
+    ("F2((t))", "1", "t+1", "1", "(t+1)/t", "(t^2+1)/t"),
+    ("F2((t))", "1", "t+1", "1/t", "t+1", "t+1"),
+    ("F2^2((t))", "1", "t+(z+1)", "(z+1)/t", "(t^2+z)/t", "z+1"),
+    ("F2((t1))((t2))", "t1/t2", "(1/t1)*t2+1", "(t2+(1/t1))/t2", "1/t2", "((1/t1)*t2+t1)/t2"),
+]
+DECIDER_SHA256 = "37bf4807e125dc2a3eaaf8f2481c6e91115506982ae468daed90f277cd79cac5"
+
+
+def _decider_form(tw, rng):
+    """One or two pairs and up to two quasilinear entries, every slot with
+    poles and zeros of order at most 1 in each variable."""
+    pairs = []
+    for _ in range(rng.choice((1, 2, 2))):
+        b = _search_scalar(tw, rng, -1, 1, rng.randrange(1, 3))
+        a = _search_scalar(tw, rng, -1, 1, rng.randrange(1, 3))
+        pairs.append((b, a))
+    ql = tuple(_search_scalar(tw, rng, -1, 1, 1) for _ in range(rng.choice((0, 0, 1, 2))))
+    return QuadraticForm(tw, tuple(pairs), ql)
+
+
+def decider_record():
+    lines = []
+    for i, tw in enumerate(DECIDER_TOWERS):
+        rng = random.Random(3000 + i)
+        for _ in range(DECIDER_FORMS):
+            f = _decider_form(tw, rng)
+            for budget in DECIDER_BUDGETS:
+                lines.append(f"{tw.descriptor()} {f} {budget} {_verdict_record(isotropy(f, budget))}")
+    for field, *slots in DECIDER_CHAINS:
+        tw = parse_field(field)
+        rho_b, rho_a, alpha, beta, gamma = (el(tw, s) for s in slots)
+        rho = QuadraticPfister((rho_b,), rho_a)
+        for budget in DECIDER_BUDGETS:
+            res = augmented_sum_index_check(rho, alpha, beta, gamma, budget)
+            chain = json.dumps(res.chain, sort_keys=True)
+            lines.append(f"{field} {rho} {budget} {res.ok} {res.index_lower} {chain}")
+    return "\n".join(lines)
+
+
+def test_decider_outputs_are_pinned():
+    record = decider_record()
+    assert hashlib.sha256(record.encode()).hexdigest() == DECIDER_SHA256
 
 
 def test_brute_search_evaluates_each_candidate_once(monkeypatch):
