@@ -57,6 +57,12 @@ def _count(text: str) -> int:
     return int(text)
 
 
+def _budget(text: str) -> int:
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(f"expected a budget of at least 0, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--format", choices=("text", "json"), default="text")
@@ -76,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
         if field:
             p.add_argument("--field", required=True, help='e.g. "F2((t))" or "F2^2"')
         if budget:
-            p.add_argument("--budget", type=int, default=env_budget,
+            p.add_argument("--budget", type=_budget, default=env_budget,
                            help="search budget (default: $QCHAR2_BUDGET, else 20000)")
         return p
 
@@ -137,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=_count, default=None)
-    p.add_argument("--budget", type=int, default=None,
+    p.add_argument("--budget", type=_budget, default=None,
                    help="overrides the budget of every suite that searches"
                         " (default: keep each suite's own)")
     return top

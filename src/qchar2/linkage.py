@@ -38,6 +38,7 @@ from .witt import (
     brute_search,
     is_hyperbolic,
     isotropy,
+    square_completion_isotropy,
     witt_decompose,
     witt_equivalent,
     witt_index,
@@ -570,9 +571,9 @@ def _extract_similar_pfister(f: QuadraticForm, n: int, budget: int) -> Quadratic
         if pfister_multiple_check(f, pi, c1) is not True:
             raise UndecidableInstance("syntactic extraction failed verification")
         return pi
-    from .symlen import _pfister_slot_recovery
+    from .symlen import pfister_slot_recovery
 
-    sym = _pfister_slot_recovery(f, n, budget)
+    sym = pfister_slot_recovery(f, n, budget)
     return QuadraticPfister(sym.slots, sym.coefficient)
 
 
@@ -725,96 +726,6 @@ def augmented_sum_index_check(
     return IndexCheckResult(
         found and big_hyperbolic, index_lower, 2 ** (n - 1) + 1, tuple(chain)
     )
-
-
-def _approx_sqrt(x: FieldElement):
-    """Exact square root, or a truncation whose square agrees with x to
-    strictly higher valuation; None when the parity obstructs."""
-    if x.is_zero():
-        return x
-    r = x.sqrt()
-    if r is not None:
-        return r
-    level = x.level
-    if level == 0:
-        return None
-    v = x.valuation(level)
-    if v % 2:
-        return None
-    tw = x.tower
-    y = x * tw.monomial(level, -v)
-    res = y.residue(level)
-    if res.is_zero():
-        return None
-    rs = _approx_sqrt(res)
-    if rs is None:
-        return None
-    return rs * tw.monomial(level, v // 2)
-
-
-def square_completion_isotropy(f: QuadraticForm, budget: int):
-    """Isotropy of (nonsingular + quasilinear) by completing nonsingular
-    values to squares through a quasilinear coordinate; exact witnesses
-    when the value is an exact square, Hensel pairs otherwise.
-
-    A candidate's q(v) is its block value w plus c * root^2, and its row
-    B(v, e_i) comes from `_polar_row`, once per nonsingular combination."""
-    from .witt import (
-        _basis_values,
-        _block_combos,
-        _iso_exact,
-        _iso_from_values,
-        _pair_blocks,
-        _polar_row,
-        candidate_scalars,
-    )
-
-    tw = f.tower
-    if not f.quasilinear or not f.pairs:
-        return None
-    pool = candidate_scalars(tw, budget)
-    small = pool[: max(3, int(budget ** 0.2))]
-    combos = _block_combos(tw, _pair_blocks(f, small), budget)
-    zero = tw.zero()
-    nq = len(f.quasilinear)
-    basis = []
-    one = tw.one()
-    for i in range(2 * len(f.pairs)):
-        basis.append(tuple(one if j == i else zero for j in range(f.dim)))
-    q_basis = _basis_values(f)
-    tried = 0
-    for coords, w in combos:
-        tried += 1
-        if tried > budget:
-            break
-        if w.is_zero():
-            if any(not x.is_zero() for x in coords):
-                return _iso_exact(f, coords + (zero,) * nq)
-            continue
-        row = None
-        for j, c in enumerate(f.quasilinear):
-            target = w / c
-            root = target.sqrt()
-            ql = [zero] * nq
-            if root is not None:
-                ql[j] = root
-                return _iso_exact(f, coords + tuple(ql))
-            root = _approx_sqrt(target)
-            if root is None or root.is_zero():
-                continue
-            ql[j] = root
-            v = coords + tuple(ql)
-            qv = w + c * (root * root)
-            if qv.is_zero():
-                return _iso_exact(f, v)
-            if row is None:
-                # quasilinear coordinates are radical: the row depends on coords alone
-                row = _polar_row(f, v)
-            for u, qu, b in zip(basis, q_basis, row):
-                got = _iso_from_values(f, v, u, qv, qu, b)
-                if got is not None:
-                    return got
-    return None
 
 
 # -- sampled linkage evidence ---------------------------------------------------------

@@ -267,13 +267,9 @@ def wedge_decompose(class_sum: SymbolSum, slots, budget: int = 100000, extra_poo
         raise SearchExhausted("no slots and a nontrivial class", {"slots": 0})
     tw = slots[0].tower
     ell = len(slots)
-    pool = [x for x in list(extra_pool) + symbol_pool(tw, budget) if not x.is_zero()]
-    seen = set()
-    coeffs = []
-    for x in pool:
-        if x not in seen:
-            seen.add(x)
-            coeffs.append(x)
+    coeffs = list(dict.fromkeys(
+        x for x in list(extra_pool) + symbol_pool(tw, budget) if not x.is_zero()
+    ))
     if n == 2:
         candidates = [zero_sum(1)] + [SymbolSum(1, (Symbol(1, a),)) for a in coeffs]
     else:
@@ -351,7 +347,7 @@ def class_decompose(
             f"degree-{n} kernels of dimension {kernel.dim} are outside the"
             " supported search fragment"
         )
-    sym = _pfister_slot_recovery(kernel, n, budget)
+    sym = pfister_slot_recovery(kernel, n, budget)
     out = simplify(SymbolSum(n, (sym,)))
     if class_hint is not None:
         check = class_trivial(out + class_hint)
@@ -376,7 +372,9 @@ def _decompose_degree_two(kernel: QuadraticForm, budget: int) -> SymbolSum:
     return simplify(wedge_with(omegas, slots))
 
 
-def _pfister_slot_recovery(kernel: QuadraticForm, n: int, budget: int) -> Symbol:
+def pfister_slot_recovery(kernel: QuadraticForm, n: int, budget: int) -> Symbol:
+    """The symbol of a fold-n form <<bs, last]] with kernel Witt equivalent
+    to b_1 * <<bs, last]], found by search; SearchExhausted past `budget`."""
     tw = kernel.tower
     guided = []
     for b, a in kernel.pairs:
@@ -384,12 +382,7 @@ def _pfister_slot_recovery(kernel: QuadraticForm, n: int, budget: int) -> Symbol
         guided.append(a)
     base = kernel.pairs[0][0]
     guided.extend(b / base for b, _ in kernel.pairs[1:])
-    pool = []
-    seen = set()
-    for x in guided + symbol_pool(tw, budget):
-        if not x.is_zero() and x not in seen:
-            seen.add(x)
-            pool.append(x)
+    pool = list(dict.fromkeys(x for x in guided + symbol_pool(tw, budget) if not x.is_zero()))
     coeff_pool = [wp_reduce(a).reduced for _, a in kernel.pairs] + pool
     tried = 0
     for last in coeff_pool:

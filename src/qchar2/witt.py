@@ -1,4 +1,4 @@
-"""Isotropy decision, Witt decomposition, and a brute-force oracle.
+"""Isotropy decision, Witt decomposition, and the bounded isotropy searches.
 
 Strategy by level:
 
@@ -29,7 +29,7 @@ kind independently of the decision path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 
 from .errors import RefutationCandidate, SingularInput, UndecidableInstance
 from .fields import (
@@ -149,13 +149,12 @@ def _iso_from_values(f: QuadraticForm, v, u, qv, qu, b) -> IsotropyVerdict | Non
     return IsotropyVerdict("isotropic", None, cert, hensel_data=(tuple(v), tuple(u)))
 
 
-def _basis_values(f: QuadraticForm) -> list[FieldElement]:
-    """q(e_i) on the standard basis: b and b*a per pair, then each
-    quasilinear entry c."""
-    out = []
-    for b, a in f.pairs:
-        out += [b, b * a]
-    return out + list(f.quasilinear)
+def _basis(f: QuadraticForm) -> list[tuple]:
+    """(e_i, q(e_i)) on the standard basis: q(e_i) is b and b*a on each
+    pair's two vectors, then the entry c on each quasilinear one."""
+    tw = f.tower
+    values = [q for b, a in f.pairs for q in (b, b * a)] + list(f.quasilinear)
+    return [(_pad(tw, (tw.one(),), f.dim, i), q) for i, q in enumerate(values)]
 
 
 def _polar_row(f: QuadraticForm, v) -> list[FieldElement]:
@@ -180,6 +179,19 @@ def _pair_blocks(f: QuadraticForm, small) -> list[list]:
         ((x, y), sx + x * y, sy) for x, sx in zip(small, squares) for y, sy in zip(small, squares)
     ]
     return [[(xy, b * (h + a * sy)) for xy, h, sy in shared] for b, a in f.pairs]
+
+
+def _hensel_scan(f: QuadraticForm, v, qv, row, basis) -> IsotropyVerdict | None:
+    """The verdict of a nonzero candidate v, from q(v) and its row
+    B(v, e_i): exact when q(v) = 0, else the first Hensel pair (v, e_i)
+    over `basis`, a list of (e_i, q(e_i)); None when no pair certifies."""
+    if qv.is_zero():
+        return _iso_exact(f, v)
+    for (u, qu), b in zip(basis, row):
+        got = _iso_from_values(f, v, u, qv, qu, b)
+        if got is not None:
+            return got
+    return None
 
 
 def _pad(tw, coords, total, offset):
@@ -362,15 +374,7 @@ def _isotropy_nonsingular(f: QuadraticForm, budget: int) -> IsotropyVerdict:
                 "valuation": v,
             }
             return IsotropyVerdict("anisotropic", None, cert)
-        found = brute_search(f, budget)
-        if found.is_isotropic:
-            return found
-        return IsotropyVerdict(
-            "undecided",
-            None,
-            None,
-            {"reason": "wild mixture", "wild_pairs": wild, "budget": budget},
-        )
+        return _searched(f, budget, {"reason": "wild mixture", "wild_pairs": wild})
 
     (unit_idx, unit_form), (t_idx, t_form) = _springer_split(tw, pairs, (), level)
     certs = {}
@@ -418,19 +422,9 @@ def _lift_residue_isotropy(f, sub, res_form, idx_list, level, part):
             v[2 * i] = sub.witness[2 * j]
             v[2 * i + 1] = sub.witness[2 * j + 1]
         v = tuple(v)
-        qv = f.evaluate(v)
-        if qv.is_zero():
-            return _iso_exact(f, v)
-        # partner: basis vector paired to a nonzero witness coordinate
-        q_basis = _basis_values(f)
-        for j, i in enumerate(idx_list):
-            for flip in (1, 0):
-                if not sub.witness[2 * j + (1 - flip)].is_zero():
-                    u = _pad(tw, (tw.one(),), f.dim, 2 * i + flip)
-                    got = _iso_from_values(f, v, u, qv, q_basis[2 * i + flip], f.polar(v, u))
-                    if got is not None:
-                        return got
-        return None
+        # the partners with B(v, e_i) != 0 are the basis vectors paired to
+        # a nonzero witness coordinate
+        return _hensel_scan(f, v, f.evaluate(v), _polar_row(f, v), _basis(f))
     cert = {
         "rule": "residue-lift",
         "level": level,
@@ -487,13 +481,9 @@ def _isotropy_mixed(f: QuadraticForm, budget: int) -> IsotropyVerdict:
             if sub.is_isotropic:
                 # lift only through a zero with nonsingular support; a
                 # purely quasilinear residue zero does not lift
-                found = brute_search(f, budget)
-                if found.is_isotropic:
-                    return found
-                return IsotropyVerdict(
-                    "undecided", None, None,
-                    {"reason": "mixed residue isotropy without a liftable point",
-                     "part": part, "budget": budget},
+                return _searched(
+                    f, budget,
+                    {"reason": "mixed residue isotropy without a liftable point", "part": part},
                 )
             if not sub.decided:
                 return IsotropyVerdict(
@@ -507,13 +497,16 @@ def _isotropy_mixed(f: QuadraticForm, budget: int) -> IsotropyVerdict:
             "parts": {part: c for c, part in subs},
         }
         return IsotropyVerdict("anisotropic", None, cert)
+    return _searched(f, budget, {"reason": "wild mixed form"})
+
+
+def _searched(f: QuadraticForm, budget: int, report: dict) -> IsotropyVerdict:
+    """What `brute_search` finds on f, else Undecided with `report` and the
+    budget."""
     found = brute_search(f, budget)
     if found.is_isotropic:
         return found
-    return IsotropyVerdict(
-        "undecided", None, None,
-        {"reason": "wild mixed form", "budget": budget},
-    )
+    return IsotropyVerdict("undecided", None, None, {**report, "budget": budget})
 
 
 def _finite_exhaustive(f: QuadraticForm) -> IsotropyVerdict:
@@ -647,7 +640,7 @@ def witt_equivalent(f: QuadraticForm, g: QuadraticForm) -> bool:
     return is_hyperbolic(orth_sum(f, g))
 
 
-# -- brute-force oracle ----------------------------------------------------------------
+# -- bounded searches ------------------------------------------------------------------
 
 
 def candidate_scalars(tw: FieldTower, budget: int) -> list[FieldElement]:
@@ -676,13 +669,7 @@ def candidate_scalars(tw: FieldTower, budget: int) -> list[FieldElement]:
                 if g != h:
                     out.append(g * h.inverse())
                     out.append(g + h * h)
-    seen = set()
-    pool = []
-    for x in out:
-        if x not in seen:
-            seen.add(x)
-            pool.append(x)
-    return pool
+    return list(dict.fromkeys(out))
 
 
 def brute_search(f: QuadraticForm, budget: int = DEFAULT_SEARCH_BUDGET) -> IsotropyVerdict:
@@ -694,7 +681,7 @@ def brute_search(f: QuadraticForm, budget: int = DEFAULT_SEARCH_BUDGET) -> Isotr
     completion.  Deterministic for a fixed budget.
 
     The Hensel pass evaluates nothing form-wide.  q(e_i) comes from
-    `_basis_values`; q(v) of a candidate from the left half of the
+    `_basis`; q(v) of a candidate from the left half of the
     meet-in-the-middle is its accumulated block value, which is q of the
     zero-padded vector; and the row B(v, e_i) is one coordinate of v times
     a b-slot (`_polar_row`).  Only a returned witness is evaluated, by
@@ -706,54 +693,41 @@ def brute_search(f: QuadraticForm, budget: int = DEFAULT_SEARCH_BUDGET) -> Isotr
     pool = candidate_scalars(tw, budget)
     blocks = _pair_blocks(f, pool[: max(3, int(budget ** 0.25))])
     for c in f.quasilinear:
-        vals = [((x,), c * x * x) for x in pool[: max(3, int(budget ** 0.5))]]
-        blocks.append(vals)
+        blocks.append([((x,), c * x * x) for x in pool[: max(3, int(budget ** 0.5))]])
 
     mid = (len(blocks) + 1) // 2
     left = _block_combos(tw, blocks[:mid], budget)
     right = _block_combos(tw, blocks[mid:], budget)
-    # first nonzero coords per value take priority; the zero vector must
-    # never mask a real witness with the same block value
-    table_nonzero = {}
-    table_any = {}
+    # per block value the first nonzero left coords, else the zero vector,
+    # which must never mask a real witness with the same block value
+    table = {}
     for coords, value in left:
-        if value not in table_any:
-            table_any[value] = coords
-        if value not in table_nonzero and any(not x.is_zero() for x in coords):
-            table_nonzero[value] = coords
+        if not any(table.get(value, ())):
+            table[value] = coords
     covered = 0
     for coords, value in right:
-        covered += len(table_any)
+        covered += len(table)
         if covered > budget * 4:
             break
-        match = table_nonzero.get(value)
-        if match is None:
-            match = table_any.get(value)
-            if match is not None and all(x.is_zero() for x in match + coords):
-                match = None
-        if match is not None:
-            v = match + coords
-            if any(not x.is_zero() for x in v):
-                return _iso_exact(f, v)
+        match = table.get(value)
+        if match is not None and any(match + coords):
+            return _iso_exact(f, match + coords)
 
-    # Hensel pass: candidates against coordinate directions
-    zero, one = tw.zero(), tw.one()
-    basis = [tuple(one if j == i else zero for j in range(f.dim)) for i in range(f.dim)]
-    q_basis = _basis_values(f)
+    # Hensel pass: the basis vectors, then the first left combinations,
+    # each against every basis vector
+    basis = _basis(f)
+    zero = tw.zero()
     cand = [(c + (zero,) * (f.dim - len(c)), value) for c, value in left[:64]]
     hensel_tried = 0
-    for v, qv in list(zip(basis, q_basis)) + cand:
-        if all(x.is_zero() for x in v):
+    for v, qv in basis + cand:
+        if not any(v):
             continue
         if hensel_tried > budget:
             break
-        if qv.is_zero():
-            return _iso_exact(f, v)
-        for u, qu, b in zip(basis, q_basis, _polar_row(f, v)):
-            hensel_tried += 1
-            got = _iso_from_values(f, v, u, qv, qu, b)
-            if got is not None:
-                return got
+        got = _hensel_scan(f, v, qv, _polar_row(f, v), basis)
+        if got is not None:
+            return got
+        hensel_tried += f.dim
     report = {
         "budget": budget,
         "pool": len(pool),
@@ -764,19 +738,76 @@ def brute_search(f: QuadraticForm, budget: int = DEFAULT_SEARCH_BUDGET) -> Isotr
 
 
 def _block_combos(tw, blocks, budget):
-    cap = max(4, int(budget ** 0.5))
+    """(coords, summed value) over one entry per block in product order,
+    the first block outermost; cut at the budget's square root when there
+    are several blocks."""
+    cap = max(4, int(budget ** 0.5)) if len(blocks) > 1 else None
     combos = [((), tw.zero())]
     for vals in blocks:
-        new = []
-        for coords, acc in combos:
-            for c, value in vals:
-                new.append((coords + c, acc + value))
-                if len(new) >= cap and len(blocks) > 1:
-                    break
-            if len(new) >= cap and len(blocks) > 1:
-                break
-        combos = new
+        combos = list(islice(
+            ((coords + c, acc + value) for coords, acc in combos for c, value in vals), cap
+        ))
     return combos
+
+
+def _approx_sqrt(x: FieldElement):
+    """Exact square root, or a truncation whose square agrees with x to
+    strictly higher valuation; None when the parity obstructs."""
+    if x.is_zero():
+        return x
+    r = x.sqrt()
+    if r is not None:
+        return r
+    level = x.level
+    if level == 0:
+        return None
+    v = x.valuation(level)
+    if v % 2:
+        return None
+    tw = x.tower
+    y = x * tw.monomial(level, -v)
+    res = y.residue(level)
+    if res.is_zero():
+        return None
+    rs = _approx_sqrt(res)
+    if rs is None:
+        return None
+    return rs * tw.monomial(level, v // 2)
+
+
+def square_completion_isotropy(f: QuadraticForm, budget: int) -> IsotropyVerdict | None:
+    """Isotropy of (nonsingular + quasilinear) by completing nonsingular
+    values to squares through a quasilinear coordinate; exact witnesses
+    when the value is an exact square, Hensel pairs otherwise.
+
+    A candidate's q(v) is its block value w plus c * root^2, and its row
+    B(v, e_i) comes from `_polar_row`, once per nonsingular combination."""
+    tw = f.tower
+    if not f.quasilinear or not f.pairs:
+        return None
+    pool = candidate_scalars(tw, budget)
+    combos = _block_combos(tw, _pair_blocks(f, pool[: max(3, int(budget ** 0.2))]), budget)
+    nq = len(f.quasilinear)
+    basis = _basis(f)
+    for coords, w in combos[:budget]:
+        if w.is_zero():
+            if any(coords):
+                return _iso_exact(f, coords + (tw.zero(),) * nq)
+            continue
+        row = None
+        for j, c in enumerate(f.quasilinear):
+            # q(v) = 0 when the root is exact, and _hensel_scan returns v
+            root = _approx_sqrt(w / c)
+            if root is None:
+                continue
+            v = coords + _pad(tw, (root,), nq, j)
+            if row is None:
+                # quasilinear coordinates are radical: the row depends on coords alone
+                row = _polar_row(f, v)
+            got = _hensel_scan(f, v, w + c * (root * root), row, basis)
+            if got is not None:
+                return got
+    return None
 
 
 # -- certificate re-verification ----------------------------------------------------

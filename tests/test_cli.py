@@ -139,6 +139,13 @@ class TestExitCodes:
         # an explicit --budget does not read the variable
         assert main(["isotropy", "--field", "F2((t))", "[1,1]", "--budget", "64"]) == 0
 
+    def test_negative_budget_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("QCHAR2_BUDGET", "-5")
+        assert main(["isotropy", "--field", "F2((t))", "[1,1]"]) == 2
+        assert "error:" in capsys.readouterr().err
+        # zero is a budget
+        assert main(["isotropy", "--field", "F2((t))", "[1,1]", "--budget", "0"]) == 0
+
 
 class TestVerifyBudget:
     def test_budget_equal_to_default_is_honoured(self, capsys):
@@ -256,6 +263,9 @@ class TestHypothesisViolations:
         # a sample count below 1 is a usage error
         ["verify", "oracle", "--samples", "-1"],
         ["u-invariant", "--field", "F2((t))", "--samples", "-1"],
+        # a negative budget is a usage error
+        ["witt", "isotropy", "--field", "F2((t))", "--budget", "-5", "[1,1/t]+(1+t)*[1,1/t]"],
+        ["verify", "oracle", "--samples", "3", "--budget", "-1"],
     ])
     def test_exit_two_without_traceback(self, capsys, argv):
         assert main(argv) == 2

@@ -33,3 +33,27 @@ def unread_parameters():
 
 def test_every_parameter_is_read():
     assert unread_parameters() == []
+
+
+def private_cross_imports():
+    """`module: from source import _name` for every `_`-prefixed name that
+    a library module imports from another one; dunders such as
+    `__version__` are exempt."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            source = "." * node.level + (node.module or "")
+            if not node.level and not source.startswith("qchar2"):
+                continue
+            found += [
+                f"{path.stem}: from {source} import {a.name}" for a in node.names
+                if a.name.startswith("_") and not a.name.endswith("__")
+            ]
+    return found
+
+
+def test_no_private_names_cross_modules():
+    assert private_cross_imports() == []
