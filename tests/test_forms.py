@@ -1,10 +1,12 @@
 """Form construction, Pfister expansion, moves, and Gram round trips."""
 
+import hashlib
+import json
 import random
 
 import pytest
 
-from qchar2.errors import ArfNontrivial, SingularInput, ZeroScalar
+from qchar2.errors import ArfNontrivial, SingularInput, UndecidableInstance, ZeroScalar
 from qchar2.fields import tower, wp
 from qchar2.forms import (
     BilinearPfister,
@@ -25,7 +27,9 @@ from qchar2.forms import (
     split_plane,
     tensor,
 )
+from qchar2.linalg import rank_profile
 from qchar2.parsing import format_form, parse_element, parse_form, parse_form_expr
+from qchar2.witt import isotropy, witt_decompose
 
 F2T = tower(1, ("t",))
 F2TT = tower(1, ("t1", "t2"))
@@ -248,3 +252,91 @@ class TestFormGrammar:
     def test_scale_in_grammar(self):
         f = parse_form(F2T, "t*(<<1]])")
         assert f.pairs == ((el(F2T, "t"), F2T.one()),)
+
+
+# -- Witt bases, pinned -------------------------------------------------------------
+#
+# The presentations that the Gram machinery returns: `rescramble` under a seeded
+# change of basis, `split_plane` at an isotropy witness, and every field of
+# `witt_decompose`, over seeded forms of one to four pairs (half of the a-slots
+# wild, so that wild mixtures reach the split-plane step), then the 32-dimensional
+# ambient form of `augmented_sum_index_check` for rho = <<1,(t+1)/t]],
+# alpha = t+1 and beta = gamma = (t^2+1)/t, which splits fourteen planes.  A
+# change to the choice of the first vector or of its partner, to the kernel
+# basis or to the arithmetic underneath that alters any presentation changes
+# the digest.
+
+WITT_TOWERS = [tower(1, ("t",)), tower(2, ("t",)), tower(1, ("t1", "t2"))]
+WITT_FORMS = 10
+WITT_SHA256 = "84212d2230f94be913094f6ecc49d3cf2ca29730f5c04cb3c5bc332278443d82"
+
+
+def _witt_scalar(tw, rng, terms):
+    out = tw.zero()
+    while out.is_zero():
+        for _ in range(terms):
+            x = tw.base_element(rng.randrange(1, tw.order))
+            for level in range(1, tw.height + 1):
+                x = x * tw.monomial(level, rng.randrange(-1, 2))
+            out = out + x
+    return out
+
+
+def _witt_form(tw, rng):
+    """One to four pairs; each a-slot gets a pole of order 3 in the
+    outermost variable half of the time."""
+    pairs = []
+    for _ in range(rng.randrange(1, 5)):
+        b = _witt_scalar(tw, rng, 1)
+        a = _witt_scalar(tw, rng, rng.randrange(1, 3))
+        if rng.random() < 0.5:
+            a = a + tw.base_element(rng.randrange(1, tw.order)) * tw.monomial(tw.height, -3)
+        pairs.append((b, a))
+    return QuadraticForm(tw, tuple(pairs))
+
+
+def _witt_basis_change(tw, n, rng):
+    """An invertible n x n matrix; t is an entry only over one variable,
+    since over two the re-based Gram entries swell."""
+    pool = [tw.zero()] * 3 + [tw.one()] + [tw.gen(1)] * (tw.height == 1)
+    while True:
+        t = [[rng.choice(pool) for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            t[i][i] = t[i][i] + tw.one()
+        if rank_profile(t)[0] == n:
+            return t
+
+
+def _decomposition_record(f):
+    try:
+        d = witt_decompose(f)
+    except UndecidableInstance:
+        return "undecidable"
+    return f"{d.index} {d.kernel} {json.dumps(d.proof, sort_keys=True)}"
+
+
+def _ambient_form():
+    e = lambda s: el(F2T, s)
+    rho = QuadraticPfister((e("1"),), e("(t+1)/t")).expand()
+    return tensor(BilinearPfister((e("t+1"), e("(t^2+1)/t"), e("(t^2+1)/t"))), rho)
+
+
+def witt_basis_record():
+    lines = []
+    for i, tw in enumerate(WITT_TOWERS):
+        rng = random.Random(4000 + i)
+        for _ in range(WITT_FORMS):
+            f = _witt_form(tw, rng)
+            scrambled = rescramble(f, _witt_basis_change(tw, f.dim, rng))
+            w = isotropy(f, 256).witness
+            split = None if w is None else split_plane(f, w)
+            lines.append(f"{tw.descriptor()} {f} | {_decomposition_record(f)} | {scrambled} | {split}")
+    ambient = _ambient_form()
+    lines.append(f"{ambient} | {_decomposition_record(ambient)}")
+    return "\n".join(lines)
+
+
+def test_witt_bases_are_pinned():
+    record = witt_basis_record()
+    assert "split-plane" in record
+    assert hashlib.sha256(record.encode()).hexdigest() == WITT_SHA256
