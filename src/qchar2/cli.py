@@ -24,7 +24,7 @@ from .errors import (
     SearchExhausted,
     UndecidableInstance,
 )
-from .forms import QuadraticPfister
+from .forms import QuadraticPfister, normalize_presentation
 from .invariants import arf, clifford, clifford_trivial, e_map, in_iqn
 from .parsing import (
     format_form,
@@ -35,7 +35,7 @@ from .parsing import (
     parse_symbol_sum,
 )
 from .suites import SUITES, run_suite, suite_takes_budget
-from .symlen import splitting_slots, symbol_length_bound, two_rank_bound
+from .symlen import class_decompose, splitting_slots, symbol_length_bound, two_rank_bound
 from .witt import is_hyperbolic, isotropy, witt_decompose, witt_equivalent
 
 EXIT_OK = 0
@@ -323,8 +323,6 @@ def _run_symlen(args):
     tw = parse_field(args.field)
     f = parse_form(tw, args.form)
     if args.op == "split":
-        from .forms import normalize_presentation
-
         nf = normalize_presentation(f).form
         slots, proof = splitting_slots(nf, args.n)
         payload = {
@@ -336,8 +334,6 @@ def _run_symlen(args):
                       "hauptsatz": proof.hauptsatz_step},
         }
         return _report(args, payload, EXIT_OK)
-    from .symlen import class_decompose
-
     try:
         out = class_decompose(f, args.n, args.budget)
     except SearchExhausted as exc:

@@ -18,6 +18,7 @@ route used by the cross-check tests.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -160,7 +161,7 @@ def simplify(s: SymbolSum) -> SymbolSum:
         n = _normalize_symbol(sym)
         if n is None:
             continue
-        by_slots[n.slots] = by_slots.get(n.slots, s_zero(sym)) + n.coefficient
+        by_slots[n.slots] = by_slots.get(n.slots, sym.coefficient.tower.zero()) + n.coefficient
     out = []
     for slots, coeff in sorted(by_slots.items(), key=lambda kv: [str(b) for b in kv[0]]):
         r = wp_reduce(coeff)
@@ -174,10 +175,7 @@ def simplify(s: SymbolSum) -> SymbolSum:
             for j in range(i + 1, len(out)):
                 merged = _merge_slotwise(out[i], out[j])
                 if merged is not None:
-                    rest = [x for k, x in enumerate(out) if k not in (i, j)]
-                    if merged.count:
-                        rest.extend(merged.symbols)
-                    out = rest
+                    out = [x for k, x in enumerate(out) if k not in (i, j)] + list(merged)
                     changed = True
                     break
             if changed:
@@ -185,21 +183,11 @@ def simplify(s: SymbolSum) -> SymbolSum:
     return SymbolSum(s.degree, tuple(out))
 
 
-def s_zero(sym: Symbol) -> FieldElement:
-    return sym.coefficient.tower.zero()
-
-
-@dataclass(frozen=True)
-class _Merged:
-    count: int
-    symbols: tuple
-
-
-def _merge_slotwise(x: Symbol, y: Symbol) -> _Merged | None:
+def _merge_slotwise(x: Symbol, y: Symbol) -> tuple | None:
+    """The symbols replacing x + y when they differ in one slot: () when
+    the merged symbol vanishes; None when they do not merge."""
     if x.coefficient != y.coefficient or x.degree < 2:
         return None
-    from collections import Counter
-
     cx, cy = Counter(x.slots), Counter(y.slots)
     only_x = list((cx - cy).elements())
     only_y = list((cy - cx).elements())
@@ -209,9 +197,7 @@ def _merge_slotwise(x: Symbol, y: Symbol) -> _Merged | None:
     merged = _normalize_symbol(
         Symbol(x.degree, x.coefficient, tuple(rest + [only_x[0] * only_y[0]]))
     )
-    if merged is None:
-        return _Merged(0, ())
-    return _Merged(1, (merged,))
+    return () if merged is None else (merged,)
 
 
 # -- differential expansion -----------------------------------------------------------

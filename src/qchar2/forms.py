@@ -17,6 +17,7 @@ presentation changes to exercise "invariants do not move" properties.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, combinations
 
 from .errors import ArfNontrivial, SingularInput, ZeroScalar
 from .fields import FieldElement, FieldTower, wp_reduce
@@ -278,54 +279,53 @@ def move_merge_equal_pairs(f: QuadraticForm, i: int, j: int) -> QuadraticForm:
 
 
 def gram(f: QuadraticForm):
-    """Upper-triangular Gram matrix of the nonsingular part."""
+    """Symmetric Gram matrix of the nonsingular part: q(e_i) on the
+    diagonal, B(e_i, e_j) off it."""
     if not f.is_nonsingular():
         raise SingularInput("Gram machinery works on the nonsingular part")
-    tw = f.tower
-    n = f.dim
-    zero = tw.zero()
-    m = [[zero] * n for _ in range(n)]
+    zero = f.tower.zero()
+    m = [[zero] * f.dim for _ in range(f.dim)]
     for i, (b, a) in enumerate(f.pairs):
-        m[2 * i][2 * i] = b
-        m[2 * i][2 * i + 1] = b
+        m[2 * i][2 * i] = m[2 * i][2 * i + 1] = m[2 * i + 1][2 * i] = b
         m[2 * i + 1][2 * i + 1] = a * b
     return m
 
 
+def _support(v):
+    return [i for i, x in enumerate(v) if not x.is_zero()]
+
+
 def gram_evaluate(tw, m, v):
     acc = tw.zero()
-    n = len(m)
-    for i in range(n):
-        if v[i].is_zero():
-            continue
+    nz = _support(v)
+    for k, i in enumerate(nz):
         acc = acc + m[i][i] * v[i] * v[i]
-        for j in range(i + 1, n):
-            if not m[i][j].is_zero() and not v[j].is_zero():
+        for j in nz[k + 1 :]:
+            if not m[i][j].is_zero():
                 acc = acc + m[i][j] * v[i] * v[j]
     return acc
 
 
 def gram_polar(tw, m, u, v):
     acc = tw.zero()
-    n = len(m)
-    for i in range(n):
-        for j in range(i + 1, n):
-            c = m[i][j]
-            if not c.is_zero():
-                acc = acc + c * (u[i] * v[j] + u[j] * v[i])
+    nv = _support(v)
+    for i in _support(u):
+        for j in nv:
+            # the diagonal holds q(e_i), which the polar form never reads
+            if i != j and not m[i][j].is_zero():
+                acc = acc + m[i][j] * u[i] * v[j]
     return acc
 
 
-def gram_transform(tw, m, t):
-    """Gram matrix of q(T x), returned upper-triangular."""
-    n = len(m)
-    zero = tw.zero()
-    cols = [[t[i][c] for i in range(n)] for c in range(n)]
-    out = [[zero] * n for _ in range(n)]
-    for c in range(n):
-        out[c][c] = gram_evaluate(tw, m, cols[c])
-        for d in range(c + 1, n):
-            out[c][d] = gram_polar(tw, m, cols[c], cols[d])
+def _restrict(tw, m, vectors):
+    """Gram matrix of q on the span of `vectors`, in their order; each
+    B(u, w) is computed once and mirrored."""
+    k = len(vectors)
+    out = [[tw.zero()] * k for _ in range(k)]
+    for i, u in enumerate(vectors):
+        out[i][i] = gram_evaluate(tw, m, u)
+        for j in range(i + 1, k):
+            out[i][j] = out[j][i] = gram_polar(tw, m, u, vectors[j])
     return out
 
 
@@ -338,33 +338,18 @@ def pairs_from_gram(tw, m) -> tuple:
         raise SingularInput("odd-dimensional space cannot be nonsingular")
     zero, one = tw.zero(), tw.one()
     basis = [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-    def q(v):
-        return gram_evaluate(tw, m, v)
-
-    def bil(u, v):
-        return gram_polar(tw, m, u, v)
-
-    # find a vector with q != 0 among basis vectors and pair sums
-    e = next((v for v in basis if not q(v).is_zero()), None)
-    if e is None:
-        for i in range(n):
-            for j in range(i + 1, n):
-                cand = [basis[i][c] + basis[j][c] for c in range(n)]
-                if not q(cand).is_zero():
-                    e = cand
-                    break
-            if e:
-                break
+    # the first vector with q != 0 among basis vectors, then pair sums
+    sums = ([x + y for x, y in zip(u, w)] for u, w in combinations(basis, 2))
+    e = next((v for v in chain(basis, sums) if not gram_evaluate(tw, m, v).is_zero()), None)
     if e is None:
         raise SingularInput("form vanishes identically; polar form degenerate")
-    partner = next((v for v in basis if not bil(e, v).is_zero()), None)
+    partner = next((v for v in basis if not gram_polar(tw, m, e, v).is_zero()), None)
     if partner is None:
         raise SingularInput("degenerate polar form")
-    b = q(e)
-    lam = b / bil(e, partner)
+    b = gram_evaluate(tw, m, e)
+    lam = b / gram_polar(tw, m, e, partner)
     fvec = [lam * c for c in partner]
-    a = q(fvec) / b
+    a = gram_evaluate(tw, m, fvec) / b
     if n == 2:
         return ((b, a),)
     return ((b, a),) + _complement_pairs(tw, m, basis, e, fvec)
@@ -373,20 +358,13 @@ def pairs_from_gram(tw, m) -> tuple:
 def _complement_pairs(tw, m, basis, e, f) -> tuple:
     """Presentation of the orthogonal complement of the plane spanned by
     e and f, on the kernel basis of their polar functionals."""
-    n = len(m)
     rows = [[gram_polar(tw, m, x, w) for w in basis] for x in (e, f)]
-    comp = kernel_basis(tw, rows)
-    sub = [[tw.zero()] * (n - 2) for _ in range(n - 2)]
-    for i, u in enumerate(comp):
-        sub[i][i] = gram_evaluate(tw, m, u)
-        for j in range(i + 1, n - 2):
-            sub[i][j] = gram_polar(tw, m, u, comp[j])
-    return pairs_from_gram(tw, sub)
+    return pairs_from_gram(tw, _restrict(tw, m, kernel_basis(tw, rows)))
 
 
 def rescramble(f: QuadraticForm, t) -> QuadraticForm:
     """Isometric re-presentation through an invertible change of basis."""
-    m = gram_transform(f.tower, gram(f), t)
+    m = _restrict(f.tower, gram(f), list(zip(*t)))
     return QuadraticForm(f.tower, pairs_from_gram(f.tower, m), f.quasilinear)
 
 
@@ -399,8 +377,7 @@ def split_plane(f: QuadraticForm, v) -> QuadraticForm:
     if not f.evaluate(v).is_zero():
         raise ValueError("v is not an exact zero of the form")
     m = gram(f)
-    n = f.dim
-    basis = [[tw.one() if i == j else tw.zero() for j in range(n)] for i in range(n)]
+    basis = [[tw.one() if i == j else tw.zero() for j in range(f.dim)] for i in range(f.dim)]
     partner = next((w for w in basis if not gram_polar(tw, m, v, w).is_zero()), None)
     if partner is None:
         raise SingularInput("zero vector lies in the radical")

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .cohomology import SymbolSum, class_trivial, simplify
+from .cohomology import SymbolSum, class_trivial, simplify, symbol_length
 from .errors import (
     HypothesisViolated,
     LinkageHypothesisFailed,
@@ -595,8 +595,6 @@ def _merge_class_to_pfister(f: QuadraticForm, n: int, budget: int) -> QuadraticP
         if len(target.symbols) == 1:
             sym = target.symbols[0]
             return QuadraticPfister(sym.slots, sym.coefficient)
-        from .cohomology import symbol_length
-
         res = symbol_length(target, budget)
         if res.value == 1 and res.exact and res.expression is not None:
             sym = res.expression.symbols[0]

@@ -12,7 +12,16 @@ from __future__ import annotations
 import random
 
 from .fields import FieldElement, FieldTower
-from .forms import QuadraticForm, QuadraticPfister, orth_sum, scale
+from .forms import (
+    QuadraticForm,
+    QuadraticPfister,
+    move_merge_equal_pairs,
+    move_norm_scale,
+    move_swap,
+    move_wp_shift_by,
+    orth_sum,
+    scale,
+)
 from .witt import isotropy
 
 
@@ -123,8 +132,6 @@ class Sampler:
 
     def rechain(self, f: QuadraticForm, moves: int) -> QuadraticForm:
         """Random walk through the elementary isometry moves."""
-        from .forms import move_norm_scale, move_swap, move_wp_shift_by
-
         out = f
         for _ in range(moves):
             kind = self.rng.choice(["wp", "scale", "swap", "merge"])
@@ -144,7 +151,5 @@ class Sampler:
             else:
                 j = self.rng.randrange(len(out.pairs))
                 if i != j and out.pairs[i][0] == out.pairs[j][0]:
-                    from .forms import move_merge_equal_pairs
-
                     out = move_merge_equal_pairs(out, i, j)
         return out

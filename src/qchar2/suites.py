@@ -12,8 +12,9 @@ from __future__ import annotations
 import inspect
 from dataclasses import dataclass, field
 
-from .cohomology import class_trivial
+from .cohomology import basis_rewrite, class_trivial, to_differential
 from .errors import (
+    HypothesisViolated,
     LinkageHypothesisFailed,
     QChar2Error,
     SearchExhausted,
@@ -35,7 +36,7 @@ from .linkage import (
     verify_linkage_witness,
 )
 from .sampling import Sampler
-from .symlen import class_decompose, symbol_length_bound
+from .symlen import class_decompose, symbol_length_bound, two_rank_bound
 from .witt import (
     brute_search,
     is_hyperbolic,
@@ -280,9 +281,6 @@ def suite_u_witness(tw: FieldTower = F2T, samples: int = 200, seed: int = 0,
 def suite_symbol_bound(tw: FieldTower = F2TT, samples: int = 100, seed: int = 0) -> SuiteReport:
     """Rewrites over the 2-basis stay within binom(m, n-1) symbols and
     preserve the class."""
-    from .cohomology import basis_rewrite, to_differential
-    from .symlen import two_rank_bound
-
     sampler = Sampler(tw, seed)
     failures = []
     undecided = 0
@@ -550,5 +548,7 @@ def run_suite(name: str, tw: FieldTower | None = None, samples: int | None = Non
     if budget is not None:
         if not suite_takes_budget(name):
             raise QChar2Error(f"suite {name!r} runs no bounded search and takes no budget")
+        if budget < 0:
+            raise HypothesisViolated(f"a search budget is a count of at least 0, got {budget}")
         kwargs["budget"] = budget
     return SUITES[name](**kwargs)

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice, product
 
-from .errors import RefutationCandidate, SingularInput, UndecidableInstance
+from .errors import HypothesisViolated, RefutationCandidate, SingularInput, UndecidableInstance
 from .fields import (
     FieldElement,
     FieldTower,
@@ -39,7 +39,7 @@ from .fields import (
     strip_even_power,
     wp_reduce,
 )
-from .forms import QuadraticForm, orth_sum
+from .forms import QuadraticForm, orth_sum, split_plane
 from .linalg import square_dependence, square_span_rank
 
 DEFAULT_SEARCH_BUDGET = 4096
@@ -581,8 +581,6 @@ def _decompose_pairs(f: QuadraticForm, steps) -> tuple[int, tuple]:
             if found.witness is not None:
                 w = found.witness
         if w is not None:
-            from .forms import split_plane
-
             rest = split_plane(g, w)
             steps.append({"step": "split-plane", "witness": _vec_str(w), "level": level})
             i_rest, k_rest = _decompose_pairs(rest, steps)
@@ -645,6 +643,8 @@ def witt_equivalent(f: QuadraticForm, g: QuadraticForm) -> bool:
 
 def candidate_scalars(tw: FieldTower, budget: int) -> list[FieldElement]:
     """Deterministic candidate pool, grown with the budget."""
+    if budget < 0:
+        raise HypothesisViolated(f"a search budget is a count of at least 0, got {budget}")
     out = [tw.zero(), tw.one()]
     out += [tw.base_element(b) for b in range(2, min(tw.order, 4 + budget // 256))]
     gens = [tw.gen(i) for i in range(1, tw.height + 1)]

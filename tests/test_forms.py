@@ -7,7 +7,7 @@ import random
 import pytest
 
 from qchar2.errors import ArfNontrivial, SingularInput, UndecidableInstance, ZeroScalar
-from qchar2.fields import tower, wp
+from qchar2.fields import FieldElement, tower, wp, wp_reduce
 from qchar2.forms import (
     BilinearPfister,
     QuadraticForm,
@@ -316,9 +316,9 @@ def _decomposition_record(f):
 
 
 def _ambient_form():
-    e = lambda s: el(F2T, s)
-    rho = QuadraticPfister((e("1"),), e("(t+1)/t")).expand()
-    return tensor(BilinearPfister((e("t+1"), e("(t^2+1)/t"), e("(t^2+1)/t"))), rho)
+    alpha, beta = el(F2T, "t+1"), el(F2T, "(t^2+1)/t")
+    rho = QuadraticPfister((F2T.one(),), el(F2T, "(t+1)/t")).expand()
+    return tensor(BilinearPfister((alpha, beta, beta)), rho)
 
 
 def witt_basis_record():
@@ -340,3 +340,22 @@ def test_witt_bases_are_pinned():
     record = witt_basis_record()
     assert "split-plane" in record
     assert hashlib.sha256(record.encode()).hexdigest() == WITT_SHA256
+
+
+def test_wild_decomposition_multiplications(monkeypatch):
+    f = _ambient_form()
+    wp_reduce.cache_clear()
+    calls = [0]
+    mul = FieldElement.__mul__
+
+    def counted(self, other):
+        calls[0] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(FieldElement, "__mul__", counted)
+    monkeypatch.setattr(FieldElement, "__rmul__", counted)
+    d = witt_decompose(f)
+    assert (f.dim, d.index, d.kernel_dim) == (32, 16, 0)
+    assert sum(s["step"] == "split-plane" for s in d.proof) == 14
+    # 426,943 when every Gram evaluation walked all n^2 entries
+    assert calls[0] <= 100_000

@@ -57,3 +57,36 @@ def private_cross_imports():
 
 def test_no_private_names_cross_modules():
     assert private_cross_imports() == []
+
+
+def _library_source(node):
+    """The module an `ImportFrom` names, or None when it is not qchar2's."""
+    source = "." * node.level + (node.module or "")
+    return source if node.level or source.startswith("qchar2") else None
+
+
+def local_top_level_imports():
+    """`module.function: from source import names` for every import inside a
+    function from a library module that the same file already imports at
+    top level; an import belongs to its innermost function."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        top = {_library_source(n) for n in tree.body if isinstance(n, ast.ImportFrom)} - {None}
+        owner = {}
+        # breadth first, so a nested function overwrites its enclosing one
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for n in ast.walk(func):
+                    if isinstance(n, ast.ImportFrom):
+                        owner[n] = func.name
+        found += [
+            f"{path.stem}.{name}: from {_library_source(n)} import "
+            + ", ".join(a.name for a in n.names)
+            for n, name in owner.items() if _library_source(n) in top
+        ]
+    return found
+
+
+def test_no_local_import_of_a_top_level_source():
+    assert local_top_level_imports() == []

@@ -7,11 +7,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qchar2.errors import SingularInput
+from qchar2.errors import HypothesisViolated, SingularInput
 from qchar2.fields import tower, wp
 from qchar2.forms import QuadraticForm, QuadraticPfister, orth_sum, scale
 from qchar2.linkage import augmented_sum_index_check, square_completion_isotropy
 from qchar2.parsing import parse_element, parse_field, parse_form
+from qchar2.suites import run_suite
 from qchar2.witt import (
     IsotropyVerdict,
     _block_combos,
@@ -393,6 +394,23 @@ def decider_record():
 def test_decider_outputs_are_pinned():
     record = decider_record()
     assert hashlib.sha256(record.encode()).hexdigest() == DECIDER_SHA256
+
+
+# -- budgets below 0 ----------------------------------------------------------------
+
+BUDGET_CALLS = {
+    "isotropy": lambda b: isotropy(parse_form(F2T, "[1,1/t]+(1+t)*[1,1/t]"), b),
+    "brute_search": lambda b: brute_search(parse_form(F2T, "[1,1/t]+(1+t)*[1,1/t]"), b),
+    "oracle": lambda b: run_suite("oracle", samples=2, budget=b),
+    "length-pipeline": lambda b: run_suite("length-pipeline", samples=1, budget=b),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUDGET_CALLS))
+def test_negative_budget_is_a_hypothesis_violation(name):
+    with pytest.raises(HypothesisViolated):
+        BUDGET_CALLS[name](-1)
+    BUDGET_CALLS[name](0)
 
 
 def test_brute_search_evaluates_each_candidate_once(monkeypatch):
