@@ -48,9 +48,6 @@ class QuadraticForm:
     def nonsingular_part(self) -> QuadraticForm:
         return QuadraticForm(self.tower, self.pairs)
 
-    def quasilinear_part(self) -> QuadraticForm:
-        return QuadraticForm(self.tower, (), self.quasilinear)
-
     def evaluate(self, vector) -> FieldElement:
         """Value on (x_1, y_1, ..., x_p, y_p, z_1, ..., z_s)."""
         if len(vector) != self.dim:
@@ -363,13 +360,15 @@ def _complement_pairs(tw, m, basis, e, f) -> tuple:
 
 
 def rescramble(f: QuadraticForm, t) -> QuadraticForm:
-    """Isometric re-presentation through an invertible change of basis."""
+    """Isometric re-presentation of a nonsingular form through an
+    invertible change of basis; a quasilinear part raises SingularInput."""
     m = _restrict(f.tower, gram(f), list(zip(*t)))
-    return QuadraticForm(f.tower, pairs_from_gram(f.tower, m), f.quasilinear)
+    return QuadraticForm(f.tower, pairs_from_gram(f.tower, m))
 
 
 def split_plane(f: QuadraticForm, v) -> QuadraticForm:
-    """Split a hyperbolic plane off a nonsingular form at an exact zero v.
+    """Split a hyperbolic plane off a nonsingular form at an exact zero v;
+    a quasilinear part raises SingularInput.
 
     Returns the complement presentation; f is isometric to [1,0] + result.
     """
@@ -381,4 +380,4 @@ def split_plane(f: QuadraticForm, v) -> QuadraticForm:
     partner = next((w for w in basis if not gram_polar(tw, m, v, w).is_zero()), None)
     if partner is None:
         raise SingularInput("zero vector lies in the radical")
-    return QuadraticForm(tw, _complement_pairs(tw, m, basis, v, partner), f.quasilinear)
+    return QuadraticForm(tw, _complement_pairs(tw, m, basis, v, partner))

@@ -48,9 +48,7 @@ class CliffordSymbolSum:
         return not self.symbols
 
     def __str__(self):
-        if not self.symbols:
-            return "0"
-        return " + ".join(f"[{a},{b})" for a, b in self.symbols)
+        return str(self.to_symbol_sum())
 
     __repr__ = __str__
 

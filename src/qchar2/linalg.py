@@ -133,19 +133,18 @@ def square_dependence(tw: FieldTower, elements):
     """
     if any(c.is_zero() for c in elements):
         raise ZeroInput("square dependence of a zero entry")
-    coords = [square_coordinates(c) for c in elements]
-    keys = sorted({k for d in coords for k in d}, key=sorted)
-    rows = [[d.get(k, tw.zero()) for d in coords] for k in keys]
-    if not rows:
-        return None
-    return kernel_vector(tw, rows)
+    rows = _square_rows(tw, elements)
+    return kernel_vector(tw, rows) if rows else None
 
 
 def square_span_rank(tw: FieldTower, elements) -> tuple[int, list[int]]:
     """Rank and pivot indices of the elements inside F as an F^2-space."""
+    rows = _square_rows(tw, elements)
+    return rank_profile(rows) if rows else (0, [])
+
+
+def _square_rows(tw: FieldTower, elements):
+    """Square coordinates of the elements as columns, one row per key S."""
     coords = [square_coordinates(c) for c in elements]
     keys = sorted({k for d in coords for k in d}, key=sorted)
-    rows = [[d.get(k, tw.zero()) for d in coords] for k in keys]
-    if not rows:
-        return 0, []
-    return rank_profile(rows)
+    return [[d.get(k, tw.zero()) for d in coords] for k in keys]

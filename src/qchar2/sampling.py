@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 
+from .errors import ZeroScalar
 from .fields import FieldElement, FieldTower
 from .forms import (
     QuadraticForm,
@@ -144,7 +145,7 @@ class Sampler:
                 x, y = self.unit(), self.rng.choice([self.tower.zero(), self.unit()])
                 try:
                     out = move_norm_scale(out, i, x, y)
-                except Exception:
+                except ZeroScalar:
                     continue
             elif kind == "swap":
                 out = move_swap(out, i, self.rng.randrange(len(out.pairs)))

@@ -3,10 +3,11 @@
 Strategy by level:
 
 * level 0 (finite field): everything is decidable exactly.  A binary
-  piece b[1,a] is anisotropic iff a is outside wp(F_q); two or more
-  pairs are always isotropic with an explicit witness; quasilinear parts
-  reduce to F^2-linear algebra; leftover mixed cases fall back to
-  exhaustive enumeration.
+  piece b[1,a] is anisotropic iff a is outside wp(F_q); quasilinear parts
+  reduce to F^2-linear algebra.  Every anisotropic binary piece over a
+  finite field is universal (u(F_q) = 2), so a pair together with any
+  further basis vector e_3 is isotropic: the pair represents q(e_3),
+  which gives an explicit witness.
 
 * level j: b-slots are stripped to t^e * unit (e in {0,1}) by exact
   square scalings, a-slots get the exact part of their Artin-Schreier
@@ -266,18 +267,17 @@ def isotropy(f: QuadraticForm, budget: int = DEFAULT_SEARCH_BUDGET) -> IsotropyV
     if f.dim == 0:
         return IsotropyVerdict("anisotropic", None, {"rule": "empty"})
     ns = f.nonsingular_part()
-    np_ = len(f.pairs)
 
     ns_verdict = None
     if ns.dim:
         ns_verdict = _isotropy_nonsingular(ns, budget)
         if ns_verdict.is_isotropic:
-            return _embed_verdict(f, ns_verdict, 0, f.dim, ns)
+            return _embed_verdict(f, ns_verdict, 0)
     ql_verdict = None
     if f.quasilinear:
         ql_verdict = _isotropy_quasilinear(tw, f.quasilinear)
         if ql_verdict.is_isotropic:
-            return _embed_verdict(f, ql_verdict, 2 * np_, f.dim, f.quasilinear_part())
+            return _embed_verdict(f, ql_verdict, 2 * len(f.pairs))
     if not f.quasilinear:
         return ns_verdict
     if not ns.dim:
@@ -287,26 +287,20 @@ def isotropy(f: QuadraticForm, budget: int = DEFAULT_SEARCH_BUDGET) -> IsotropyV
     return _isotropy_mixed(f, budget)
 
 
-def _embed_verdict(f, verdict, offset, total, subform):
+def _embed_verdict(f, verdict, offset):
+    """An isotropic verdict on the subform of f from coordinate `offset` on,
+    as a verdict on f: zero padding changes no q(v), q(u) or B(v, u)."""
     tw = f.tower
     if verdict.witness is not None:
-        return _iso_exact(f, _pad(tw, verdict.witness, total, offset))
+        return _iso_exact(f, _pad(tw, verdict.witness, f.dim, offset))
     if verdict.hensel_data is not None:
-        v, u = verdict.hensel_data
-        got = _iso_from_pair(f, _pad(tw, v, total, offset), _pad(tw, u, total, offset))
-        if got is not None:
-            return got
-    if verdict.certificate is not None and verdict.certificate.get("rule") == "residue-lift":
-        # verifies against its own stored residue form, dimension-free
-        return IsotropyVerdict("isotropic", None, verdict.certificate)
-    # wrap anything else so re-verification decides the subform afresh
-    cert = {
-        "rule": "subform-isotropy",
-        "pairs": _pair_strs(subform.pairs),
-        "quasilinear": [str(c) for c in subform.quasilinear],
-        "inner": verdict.certificate,
-    }
-    return IsotropyVerdict("isotropic", None, cert)
+        v, u = (_pad(tw, w, f.dim, offset) for w in verdict.hensel_data)
+        got = _iso_from_pair(f, v, u)
+        if got is None:
+            raise RefutationCandidate(f"a Hensel pair of a subform of {f} fails once padded")
+        return got
+    # a residue-lift verifies against its own stored residue form
+    return IsotropyVerdict("isotropic", None, verdict.certificate)
 
 
 def _isotropy_quasilinear(tw, entries) -> IsotropyVerdict:
@@ -343,7 +337,7 @@ def _isotropy_nonsingular(f: QuadraticForm, budget: int) -> IsotropyVerdict:
     tw = f.tower
     level = _form_level(f)
     if level == 0:
-        return _finite_nonsingular(f)
+        return _isotropy_finite(f)
 
     # exact fast path: any binary piece with a-slot in wp is hyperbolic
     for i, (b, a) in enumerate(f.pairs):
@@ -435,28 +429,26 @@ def _lift_residue_isotropy(f, sub, res_form, idx_list, level, part):
     return IsotropyVerdict("isotropic", None, cert)
 
 
-def _finite_nonsingular(f: QuadraticForm) -> IsotropyVerdict:
+def _isotropy_finite(f: QuadraticForm) -> IsotropyVerdict:
+    """Level 0: a lone pair outside wp is anisotropic; otherwise the first
+    pair, universal over a finite field, represents q(e_3) (the second
+    pair's b or the one quasilinear entry), which gives an exact zero."""
     tw = f.tower
     for i, (b, a) in enumerate(f.pairs):
         r = wp_reduce(a)
         if r.is_in_wp:
             return _iso_exact(f, _pad(tw, (r.correction, tw.one()), f.dim, 2 * i))
-    if len(f.pairs) == 1:
-        b, a = f.pairs[0]
+    b1, a1 = f.pairs[0]
+    if f.dim == 2:
         return IsotropyVerdict(
             "anisotropic", None,
-            {"rule": "base-nonwp", "a": str(wp_reduce(a).reduced), "trace": 1},
+            {"rule": "base-nonwp", "a": str(wp_reduce(a1).reduced), "trace": 1},
         )
-    # two anisotropic binary pieces: the first one represents b2 (finite
-    # norm maps are onto), giving an explicit zero
-    (b1, a1), (b2, a2) = f.pairs[0], f.pairs[1]
-    target = b2 / b1
+    target = _basis(f)[2][1] / b1
     for xb, yb in product(range(tw.order), repeat=2):
         x, y = tw.base_element(xb), tw.base_element(yb)
         if x * x + x * y + a1 * y * y == target:
-            v = [tw.zero()] * f.dim
-            v[0], v[1], v[2] = x, y, tw.one()
-            return _iso_exact(f, tuple(v))
+            return _iso_exact(f, _pad(tw, (x, y, tw.one()), f.dim, 0))
     raise RefutationCandidate(
         f"the anisotropic binary piece [1,{a1}] of {f} does not represent {target}"
         " over a finite field, where every such piece is universal"
@@ -468,7 +460,7 @@ def _isotropy_mixed(f: QuadraticForm, budget: int) -> IsotropyVerdict:
     tw = f.tower
     level = _form_level(f)
     if level == 0:
-        return _finite_exhaustive(f)
+        return _isotropy_finite(f)
     pairs, wild = _normalize_pairs(f, level)
     ql = tuple(strip_even_power(c, level) for c in f.quasilinear)
     if not wild:
@@ -507,21 +499,6 @@ def _searched(f: QuadraticForm, budget: int, report: dict) -> IsotropyVerdict:
     if found.is_isotropic:
         return found
     return IsotropyVerdict("undecided", None, None, {**report, "budget": budget})
-
-
-def _finite_exhaustive(f: QuadraticForm) -> IsotropyVerdict:
-    tw = f.tower
-    if tw.order ** f.dim > 1 << 20:
-        raise UndecidableInstance("finite exhaustive search too large")
-    elements = [tw.base_element(b) for b in range(tw.order)]
-    for combo in product(elements, repeat=f.dim):
-        if all(x.is_zero() for x in combo):
-            continue
-        if f.evaluate(combo).is_zero():
-            return _iso_exact(f, combo)
-    return IsotropyVerdict(
-        "anisotropic", None, {"rule": "finite-exhaustion", "order": tw.order, "dim": f.dim}
-    )
 
 
 # -- Witt decomposition ---------------------------------------------------------------
@@ -841,17 +818,8 @@ def _verify_cert(f: QuadraticForm, cert: dict, kind: str) -> bool:
                 (parse_element(tw, b), parse_element(tw, a))
                 for b, a in cert["residue_pairs"]
             )
-            g = QuadraticForm(tw, pairs)
-            sub = isotropy(g)
-            return sub.is_isotropic and verify_certificate(g, sub)
-        if rule == "subform-isotropy":
-            pairs = tuple(
-                (parse_element(tw, b), parse_element(tw, a)) for b, a in cert["pairs"]
-            )
-            ql = tuple(parse_element(tw, c) for c in cert.get("quasilinear", []))
-            g = QuadraticForm(tw, pairs, ql)
-            sub = isotropy(g)
-            return sub.is_isotropic and verify_certificate(g, sub)
+            inner = cert.get("inner")
+            return inner is not None and _verify_cert(QuadraticForm(tw, pairs), inner, kind)
         return False
     # anisotropic side
     if rule == "empty":
@@ -867,8 +835,6 @@ def _verify_cert(f: QuadraticForm, cert: dict, kind: str) -> bool:
     if rule == "ql-independent":
         entries = tuple(parse_element(tw, s) for s in cert["entries"])
         return square_dependence(tw, entries) is None
-    if rule == "finite-exhaustion":
-        return _finite_exhaustive(f).is_anisotropic
     if rule == "springer":
         for part in ("unit_part", "t_part"):
             data = cert[part]

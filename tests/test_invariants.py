@@ -92,6 +92,16 @@ class TestClifford:
             rhs = clifford(f).to_symbol_sum() + clifford(g).to_symbol_sum()
             assert class_trivial(lhs + rhs) is True
 
+    @pytest.mark.parametrize("tw", [F2T, F2TT], ids=lambda tw: tw.descriptor())
+    def test_printed_class_reparses(self, tw):
+        from qchar2.parsing import parse_symbol_sum
+        from qchar2.sampling import Sampler
+
+        sampler = Sampler(tw, 47)
+        for _ in range(12):
+            c = clifford(sampler.nonsingular_form(2 * sampler.rng.randrange(1, 4)))
+            assert class_trivial(parse_symbol_sum(tw, str(c))) == clifford_trivial(c), str(c)
+
 
 class TestEMap:
     def test_slots_read_off(self):

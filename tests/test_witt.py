@@ -272,6 +272,54 @@ class TestForgedCertificates:
         assert v.is_anisotropic
         assert verify_certificate(f, v)
 
+    def test_forged_subform_isotropy_rejected(self):
+        # the inner certificate proves the hyperbolic plane [1,0] isotropic,
+        # which says nothing about <<t,1]]
+        f = parse_form(F2T, "<<t,1]]")
+        forged = IsotropyVerdict("isotropic", None, {
+            "rule": "subform-isotropy",
+            "pairs": [["1", "0"]],
+            "quasilinear": [],
+            "inner": {"rule": "exact-zero", "witness": ["1", "0"]},
+        })
+        assert not verify_certificate(f, forged)
+
+    def test_residue_lift_without_inner_rejected(self):
+        f = parse_form(F2TT, "t2*[1,t1]")
+        v = isotropy(f)
+        assert v.certificate["rule"] == "residue-lift"
+        cert = {k: x for k, x in v.certificate.items() if k != "inner"}
+        assert not verify_certificate(f, IsotropyVerdict("isotropic", None, cert))
+
+    @pytest.mark.parametrize("text", ["t2*[1,t1]", "t2*[1,t1]+<1+t2>q"])
+    def test_residue_lift_verifies_without_the_decider(self, monkeypatch, text):
+        import qchar2.witt
+
+        f = parse_form(F2TT, text)
+        v = isotropy(f)
+        assert v.certificate["rule"] == "residue-lift"
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the checker called the decider")
+
+        monkeypatch.setattr(qchar2.witt, "isotropy", refuse)
+        assert verify_certificate(f, v)
+
+
+@pytest.mark.parametrize("field,text", [
+    ("F2^7", "[1,1]+<1>q"),
+    ("F2^8", "[1,z^5]+<1>q"),
+    ("F2^7((t))", "[1,1+t]+<1+t>q"),
+])
+def test_large_finite_residue_mixed_forms_are_decided(field, text):
+    # an anisotropic pair represents every scalar over a finite field, so
+    # one pair plus one quasilinear entry is isotropic at any order
+    f = parse_form(parse_field(field), text)
+    v = isotropy(f)
+    assert v.is_isotropic and v.witness is not None
+    assert f.evaluate(v.witness).is_zero()
+    assert verify_certificate(f, v)
+
 
 # -- search outputs, pinned ---------------------------------------------------------
 #
