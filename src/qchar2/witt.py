@@ -300,7 +300,7 @@ def _embed_verdict(f, verdict, offset):
             raise RefutationCandidate(f"a Hensel pair of a subform of {f} fails once padded")
         return got
     # a residue-lift verifies against its own stored residue form
-    return IsotropyVerdict("isotropic", None, verdict.certificate)
+    return verdict
 
 
 def _isotropy_quasilinear(tw, entries) -> IsotropyVerdict:

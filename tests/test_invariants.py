@@ -17,7 +17,8 @@ from qchar2.forms import (
     scale,
 )
 from qchar2.invariants import arf, clifford, clifford_trivial, e_map, in_iqn, iqn_vanishes
-from qchar2.parsing import parse_element, parse_form
+from qchar2.parsing import parse_element, parse_form, parse_symbol_sum
+from qchar2.sampling import Sampler
 from qchar2.witt import is_hyperbolic
 
 F2 = tower(1)
@@ -94,9 +95,6 @@ class TestClifford:
 
     @pytest.mark.parametrize("tw", [F2T, F2TT], ids=lambda tw: tw.descriptor())
     def test_printed_class_reparses(self, tw):
-        from qchar2.parsing import parse_symbol_sum
-        from qchar2.sampling import Sampler
-
         sampler = Sampler(tw, 47)
         for _ in range(12):
             c = clifford(sampler.nonsingular_form(2 * sampler.rng.randrange(1, 4)))
