@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter, xor
 
 from .errors import LevelError, NegativeValuation, UnsupportedField, ZeroInput
 
@@ -70,7 +71,7 @@ class FieldTower:
         self._build_base_tables()
         # the one choice of polynomial representation, per level
         packed = _BinaryRing if base_exponent == 1 else _PackedRing
-        self._rings = (None,) + tuple(
+        self._rings = (_BaseRing(self),) + tuple(
             packed(self) if level == 1 else _TupleRing(self, level)
             for level in range(1, len(names) + 1)
         )
@@ -173,6 +174,11 @@ class FieldTower:
             return self.one() if value % 2 else self.zero()
         raise TypeError(f"cannot coerce {value!r}")
 
+    def top_ring(self):
+        """The polynomial ring of t_m (of F_{2^k} at height 0): `zero`,
+        `add`, `mul`, and `polynomial`/`element` (see `clearing_scale`)."""
+        return self._rings[self.height]
+
     def trace_one_element(self) -> FieldElement:
         """Canonical representative of the nontrivial class of F_{2^k}/wp."""
         return self.base_element(self._trace_one)
@@ -203,11 +209,28 @@ def tower(base_exponent: int, variable_names: tuple[str, ...] = ()) -> FieldTowe
 
 # -- polynomial rings, one per tower level ---------------------------------------
 #
-# Each offers `lift` (a lower-level element as a constant), `one`, `monomial`,
-# `add`, `mul`, `fraction` (the canonical element num/den), `coprime_fraction`
-# (the same for coprime num and den, without the gcd), `val`, `coeffs`
-# (ascending coefficient tuple), `derive` (in the ring's own variable) and
-# `sqrt` (of a polynomial, or None).
+# Each offers `lift` (a lower-level element as a constant), `zero`, `one`,
+# `monomial`, `add`, `mul`, `fraction` (the canonical element num/den),
+# `coprime_fraction` (the same for coprime num and den, without the gcd),
+# `val`, `coeffs` (ascending coefficient tuple), `derive` (in the ring's own
+# variable) and `sqrt` (of a polynomial, or None); level 0 only the first few.
+
+
+class _Ring:
+    def polynomial(self, x):
+        """x, a polynomial at every level up to this one, in this format."""
+        return x.num if x.level == self.level and x.level else self.lift(x) if x else self.zero
+
+    def element(self, p):
+        return self.fraction(p, self.one)
+
+
+class _BaseRing(_Ring):
+    level, zero, one = 0, 0, 1
+    add, lift = staticmethod(xor), staticmethod(attrgetter("bits"))
+
+    def __init__(self, tw):
+        self.mul, self.element = tw.bmul, tw.base_element
 
 
 def _even_bits(n: int) -> int:
@@ -225,7 +248,7 @@ def _clmul(a, b):
     return out
 
 
-class _PackedRing:
+class _PackedRing(_Ring):
     """F_{2^k}[t_1], level 1 of every tower, packed into one int by
     Kronecker substitution: the coefficient of t_1^i sits in slot i, bits
     [i*w, i*w + k) with slot width w = 2k - 1, as the bit mask of a
@@ -235,7 +258,7 @@ class _PackedRing:
     in F_{2^k}, so t_1 is the only variable to differentiate by.
     """
 
-    one = 1
+    level, zero, one = 1, 0, 1
 
     def __init__(self, tw):
         k = self._k = tw.k
@@ -402,9 +425,11 @@ class _BinaryRing(_PackedRing):
         return sum(1 << (j // 2) for j in range(0, a.bit_length(), 2) if a >> j & 1)
 
 
-class _TupleRing:
+class _TupleRing(_Ring):
     """Polynomials in t_level as ascending coefficient tuples with no
     trailing zeros; coefficients may sit at any level below `level`."""
+
+    zero = ()
 
     def __init__(self, tw, level):
         self.tower = tw
@@ -786,6 +811,19 @@ class FieldElement:
         from .parsing import format_element
 
         return format_element(self)
+
+
+def clearing_scale(tw: FieldTower, xs) -> FieldElement:
+    """A nonzero s, a polynomial at every level (no denominator in t_m nor in
+    any coefficient down to F_{2^k}), with s*x one too for each x in xs; like
+    an lcm, each x multiplies s only by what s*x lacks."""
+    s = tw.one()
+    for x in xs:
+        y = s * x if x.level else x
+        if y.level:
+            num, den = y.coefficients()
+            s = s * clearing_scale(tw, num + den) * tw._rings[y.level].element(y.den)
+    return s
 
 
 # -- Artin-Schreier reduction ---------------------------------------------------------

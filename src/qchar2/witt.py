@@ -25,23 +25,31 @@ val(q(v)) + val(q(u)) > 2 val(B(v,u)), which forces an exact zero of the
 complete field on the line v + lambda*u, or a recursive residue-lift
 record whose leaves are exact.  `verify_certificate` re-checks either
 kind independently of the decision path.
+
+The bounded searches keep their values denominator-free: one nonzero
+polynomial S per search scales every q(v), so sums and products there
+are top-ring polynomial arithmetic with no gcd (`_Cleared`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import chain, islice, product
 
-from .errors import HypothesisViolated, RefutationCandidate, SingularInput, UndecidableInstance
+from .errors import (
+    HypothesisViolated, ParseError, RefutationCandidate, SingularInput, UndecidableInstance,
+)
 from .fields import (
     FieldElement,
     FieldTower,
+    clearing_scale,
     exact_tail_reduce,
     strip_even_power,
     wp_reduce,
 )
 from .forms import QuadraticForm, orth_sum, split_plane
 from .linalg import square_dependence, square_span_rank
+from .parsing import parse_element
 
 DEFAULT_SEARCH_BUDGET = 4096
 
@@ -171,15 +179,35 @@ def _polar_row(f: QuadraticForm, v) -> list[FieldElement]:
     return out + [zero] * len(f.quasilinear)
 
 
-def _pair_blocks(f: QuadraticForm, small) -> list[list]:
-    """Per pair (b, a), the block of ((x, y), b(x^2 + xy + a y^2)) over
-    x, y in `small`, x outermost.  x^2 + xy and y^2 are shared by every
-    pair, so each value costs two multiplies and one add."""
-    squares = [x * x for x in small]
-    shared = [
-        ((x, y), sx + x * y, sy) for x, sx in zip(small, squares) for y, sy in zip(small, squares)
-    ]
-    return [[(xy, b * (h + a * sy)) for xy, h, sy in shared] for b, a in f.pairs]
+class _Cleared:
+    """Search values q(v) as keys S * q(v), S = S_f * S_p^2 != 0, made by the
+    top ring's adds and multiplies with no gcd: S_f clears every denominator
+    of the slots b, b*a, c of f at every level, and S_p those of `scalars`,
+    which enter as X = S_p * x.  `value` divides S back out."""
+
+    def __init__(self, f: QuadraticForm, scalars):
+        tw = f.tower
+        self.ring = ring = tw.top_ring()
+        slots = [q for b, a in f.pairs for q in (b, b * a)] + list(f.quasilinear)
+        s_form, s_pool = clearing_scale(tw, slots), clearing_scale(tw, scalars)
+        self.inverse = (s_form * s_pool * s_pool).inverse()
+        polys = [ring.polynomial(s_form * q) for q in slots]
+        n = 2 * len(f.pairs)
+        self.pairs, self.quasilinear = list(zip(polys[:n:2], polys[1:n:2])), polys[n:]
+        self.scalars = [(x, ring.polynomial(s_pool * x)) for x in scalars]
+
+    def value(self, key) -> FieldElement:
+        return self.ring.element(key) * self.inverse
+
+    def blocks(self, k, kq):
+        """Per pair the keys of ((x, y), b(x^2 + xy + a y^2)) over the first k
+        scalars, x outermost, as B(X^2 + XY) + BA Y^2 with X^2 + XY and Y^2
+        shared; then per entry c those of ((x,), c x^2) over the first kq."""
+        add, mul = self.ring.add, self.ring.mul
+        sq = [(x, p, mul(p, p)) for x, p in self.scalars]
+        shared = [((x, y), add(sx, mul(p, q)), sy) for x, p, sx in sq[:k] for y, q, sy in sq[:k]]
+        out = [[(xy, add(mul(b, h), mul(ba, y2))) for xy, h, y2 in shared] for b, ba in self.pairs]
+        return out + [[((x,), mul(c, sx)) for x, _, sx in sq[:kq]] for c in self.quasilinear]
 
 
 def _hensel_scan(f: QuadraticForm, v, qv, row, basis) -> IsotropyVerdict | None:
@@ -203,8 +231,6 @@ def _pad(tw, coords, total, offset):
 
 
 # -- slot normalization -------------------------------------------------------------
-
-
 
 
 def _normalize_pairs(f: QuadraticForm, level: int):
@@ -625,27 +651,14 @@ def candidate_scalars(tw: FieldTower, budget: int) -> list[FieldElement]:
     out = [tw.zero(), tw.one()]
     out += [tw.base_element(b) for b in range(2, min(tw.order, 4 + budget // 256))]
     gens = [tw.gen(i) for i in range(1, tw.height + 1)]
-    for g in gens:
-        out.append(g)
-        out.append(tw.one() + g)
+    out += [y for g in gens for y in (g, tw.one() + g)]
     if budget >= 64:
-        for g in gens:
-            out.append(g.inverse())
+        out += [g.inverse() for g in gens]
     if budget >= 256:
-        for g in gens:
-            out.append(g * g)
-            out.append(tw.one() + g * g)
-            out.append(g.inverse() * g.inverse())
-        for i, g in enumerate(gens):
-            for h in gens[i + 1:]:
-                out.append(g * h)
-                out.append(g + h)
+        out += [y for g in gens for y in (g * g, tw.one() + g * g, g.inverse() * g.inverse())]
+        out += [y for i, g in enumerate(gens) for h in gens[i + 1:] for y in (g * h, g + h)]
     if budget >= 4096:
-        for g in gens:
-            for h in gens:
-                if g != h:
-                    out.append(g * h.inverse())
-                    out.append(g + h * h)
+        out += [y for g in gens for h in gens if g != h for y in (g * h.inverse(), g + h * h)]
     return list(dict.fromkeys(out))
 
 
@@ -657,24 +670,28 @@ def brute_search(f: QuadraticForm, budget: int = DEFAULT_SEARCH_BUDGET) -> Isotr
     smaller candidate list for Hensel pairs that certify a zero of the
     completion.  Deterministic for a fixed budget.
 
+    Block values and their sums are keys S * q(v) for one nonzero S per
+    search (`_Cleared`), top-ring polynomials added and multiplied with no
+    gcd; equal keys are equal values.
+
     The Hensel pass evaluates nothing form-wide.  q(e_i) comes from
     `_basis`; q(v) of a candidate from the left half of the
-    meet-in-the-middle is its accumulated block value, which is q of the
-    zero-padded vector; and the row B(v, e_i) is one coordinate of v times
-    a b-slot (`_polar_row`).  Only a returned witness is evaluated, by
+    meet-in-the-middle is its key times S^-1, rebuilt when the pass
+    reaches it; and the row B(v, e_i) is one coordinate of v times a
+    b-slot (`_polar_row`).  Only a returned witness is evaluated, by
     `_iso_exact`.
     """
     tw = f.tower
     if f.dim == 0:
         return IsotropyVerdict("undecided", None, None, {"reason": "empty form"})
     pool = candidate_scalars(tw, budget)
-    blocks = _pair_blocks(f, pool[: max(3, int(budget ** 0.25))])
-    for c in f.quasilinear:
-        blocks.append([((x,), c * x * x) for x in pool[: max(3, int(budget ** 0.5))]])
+    k, kq = max(3, int(budget ** 0.25)), max(3, int(budget ** 0.5))
+    cleared = _Cleared(f, pool[: kq if f.quasilinear else k])
+    blocks = cleared.blocks(k, kq)
 
     mid = (len(blocks) + 1) // 2
-    left = _block_combos(tw, blocks[:mid], budget)
-    right = _block_combos(tw, blocks[mid:], budget)
+    left = _block_combos(cleared.ring, blocks[:mid], budget)
+    right = _block_combos(cleared.ring, blocks[mid:], budget)
     # per block value the first nonzero left coords, else the zero vector,
     # which must never mask a real witness with the same block value
     table = {}
@@ -694,9 +711,9 @@ def brute_search(f: QuadraticForm, budget: int = DEFAULT_SEARCH_BUDGET) -> Isotr
     # each against every basis vector
     basis = _basis(f)
     zero = tw.zero()
-    cand = [(c + (zero,) * (f.dim - len(c)), value) for c, value in left[:64]]
+    cand = ((c + (zero,) * (f.dim - len(c)), cleared.value(key)) for c, key in left[:64])
     hensel_tried = 0
-    for v, qv in basis + cand:
+    for v, qv in chain(basis, cand):
         if not any(v):
             continue
         if hensel_tried > budget:
@@ -705,24 +722,21 @@ def brute_search(f: QuadraticForm, budget: int = DEFAULT_SEARCH_BUDGET) -> Isotr
         if got is not None:
             return got
         hensel_tried += f.dim
-    report = {
-        "budget": budget,
-        "pool": len(pool),
-        "pairs_covered": min(covered, budget * 4),
-        "hensel_tried": hensel_tried,
-    }
+    report = {"budget": budget, "pool": len(pool), "pairs_covered": min(covered, budget * 4),
+              "hensel_tried": hensel_tried}
     return IsotropyVerdict("undecided", None, None, report)
 
 
-def _block_combos(tw, blocks, budget):
-    """(coords, summed value) over one entry per block in product order,
-    the first block outermost; cut at the budget's square root when there
-    are several blocks."""
+def _block_combos(ring, blocks, budget):
+    """(coords, summed key) over one entry per block in product order, the
+    first block outermost, summed in `ring`; cut at the budget's square
+    root when there are several blocks."""
     cap = max(4, int(budget ** 0.5)) if len(blocks) > 1 else None
-    combos = [((), tw.zero())]
+    add = ring.add
+    combos = [((), ring.zero)]
     for vals in blocks:
         combos = list(islice(
-            ((coords + c, acc + value) for coords, acc in combos for c, value in vals), cap
+            ((coords + c, add(acc, key)) for coords, acc in combos for c, key in vals), cap
         ))
     return combos
 
@@ -757,20 +771,23 @@ def square_completion_isotropy(f: QuadraticForm, budget: int) -> IsotropyVerdict
     values to squares through a quasilinear coordinate; exact witnesses
     when the value is an exact square, Hensel pairs otherwise.
 
-    A candidate's q(v) is its block value w plus c * root^2, and its row
-    B(v, e_i) comes from `_polar_row`, once per nonsingular combination."""
+    Nonsingular combinations are summed as keys, as in `brute_search`; each
+    one examined is rebuilt into w = q(v) with one multiply.  A candidate's
+    q(v) is w + c * root^2, and its row B(v, e_i) comes from `_polar_row`."""
     tw = f.tower
     if not f.quasilinear or not f.pairs:
         return None
-    pool = candidate_scalars(tw, budget)
-    combos = _block_combos(tw, _pair_blocks(f, pool[: max(3, int(budget ** 0.2))]), budget)
+    small = candidate_scalars(tw, budget)[: max(3, int(budget ** 0.2))]
+    cleared = _Cleared(f.nonsingular_part(), small)
+    combos = _block_combos(cleared.ring, cleared.blocks(len(small), 0), budget)
     nq = len(f.quasilinear)
     basis = _basis(f)
-    for coords, w in combos[:budget]:
-        if w.is_zero():
+    for coords, key in combos[:budget]:
+        if not key:
             if any(coords):
                 return _iso_exact(f, coords + (tw.zero(),) * nq)
             continue
+        w = cleared.value(key)
         row = None
         for j, c in enumerate(f.quasilinear):
             # q(v) = 0 when the root is exact, and _hensel_scan returns v
@@ -791,63 +808,68 @@ def square_completion_isotropy(f: QuadraticForm, budget: int) -> IsotropyVerdict
 
 
 def verify_certificate(f: QuadraticForm, verdict: IsotropyVerdict) -> bool:
-    """Re-check a verdict's certificate independently of how it was found."""
+    """Re-check a verdict's certificate independently of how it was found;
+    a malformed one (a field missing or of the wrong type) is rejected."""
     if verdict.kind == "undecided":
         return True
-    cert = verdict.certificate
-    if cert is None:
+    return _verify_cert(f, verdict.certificate, verdict.kind)
+
+
+def _parsed(tw, strs, n=None):
+    """The elements a certificate field lists: a list of parseable strings,
+    n of them when n is given; else None."""
+    ok = isinstance(strs, list) and all(isinstance(s, str) for s in strs)
+    if not ok or n not in (None, len(strs)):
+        return None
+    try:
+        return tuple(parse_element(tw, s) for s in strs)
+    except ParseError:
+        return None
+
+
+def _parsed_pairs(tw, rows):
+    """The pairs (b, a), b != 0, that a certificate field lists, or None."""
+    ok = isinstance(rows, list) and all(isinstance(r, list) and len(r) == 2 for r in rows)
+    flat = _parsed(tw, [s for r in rows for s in r]) if ok else None
+    return tuple(zip(flat[::2], flat[1::2])) if flat is not None and all(flat[::2]) else None
+
+
+def _verify_cert(f: QuadraticForm, cert, kind: str) -> bool:
+    if not isinstance(cert, dict):
         return False
-    return _verify_cert(f, cert, verdict.kind)
-
-
-def _verify_cert(f: QuadraticForm, cert: dict, kind: str) -> bool:
-    from .parsing import parse_element
-
     tw = f.tower
     rule = cert.get("rule")
     if kind == "isotropic":
         if rule == "exact-zero":
-            v = tuple(parse_element(tw, s) for s in cert["witness"])
-            return f.evaluate(v).is_zero() and any(not x.is_zero() for x in v)
+            v = _parsed(tw, cert.get("witness"), f.dim)
+            return v is not None and f.evaluate(v).is_zero() and any(v)
         if rule == "hensel-pair":
-            v = tuple(parse_element(tw, s) for s in cert["v"])
-            u = tuple(parse_element(tw, s) for s in cert["u"])
-            return hensel_pair_applies(f, v, u)
+            v, u = (_parsed(tw, cert.get(k), f.dim) for k in ("v", "u"))
+            return v is not None and u is not None and hensel_pair_applies(f, v, u)
         if rule == "residue-lift":
-            pairs = tuple(
-                (parse_element(tw, b), parse_element(tw, a))
-                for b, a in cert["residue_pairs"]
-            )
-            inner = cert.get("inner")
-            return inner is not None and _verify_cert(QuadraticForm(tw, pairs), inner, kind)
+            g = _parsed_pairs(tw, cert.get("residue_pairs"))
+            return g is not None and _verify_cert(QuadraticForm(tw, g), cert.get("inner"), kind)
         return False
     # anisotropic side
     if rule == "empty":
         return f.dim == 0
     if rule == "base-nonwp":
-        a = parse_element(tw, cert["a"])
-        return not wp_reduce(a).is_in_wp
+        a = _parsed(tw, [cert.get("a")])
+        return a is not None and not wp_reduce(a[0]).is_in_wp
     if rule == "wild-binary":
-        a = parse_element(tw, cert["a"])
-        level = cert["level"]
-        reduced, wild = exact_tail_reduce(a, level)
-        return wild
+        a, level = _parsed(tw, [cert.get("a")]), cert.get("level")
+        ok = a is not None and isinstance(level, int) and 1 <= level <= tw.height
+        return ok and exact_tail_reduce(a[0], level)[1]
     if rule == "ql-independent":
-        entries = tuple(parse_element(tw, s) for s in cert["entries"])
-        return square_dependence(tw, entries) is None
+        entries = _parsed(tw, cert.get("entries"))
+        return entries is not None and all(entries) and square_dependence(tw, entries) is None
     if rule == "springer":
-        for part in ("unit_part", "t_part"):
-            data = cert[part]
-            pairs = tuple(
-                (parse_element(tw, b), parse_element(tw, a)) for b, a in data["pairs"]
-            )
-            if pairs:
-                g = QuadraticForm(tw, pairs)
-                if not _verify_cert(g, data["certificate"], "anisotropic"):
-                    return False
-        return True
+        parts = [cert.get(part) for part in ("unit_part", "t_part")]
+        pairs = [_parsed_pairs(tw, p.get("pairs")) if isinstance(p, dict) else None for p in parts]
+        return None not in pairs and all(
+            _verify_cert(QuadraticForm(tw, g), p.get("certificate"), "anisotropic")
+            for g, p in zip(pairs, parts) if g
+        )
     if rule == "springer-mixed":
-        # structural record; re-derive by re-deciding
-        sub = isotropy(f)
-        return sub.is_anisotropic
+        return isotropy(f).is_anisotropic     # structural record: re-decide
     return False

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qchar2.errors import LevelError, NegativeValuation, ZeroInput
-from qchar2.fields import _PackedRing, _TupleRing, tower, wp, wp_reduce
+from qchar2.fields import _PackedRing, _TupleRing, clearing_scale, tower, wp, wp_reduce
 from qchar2.parsing import format_element, parse_element, parse_field
 
 F2 = tower(1)
@@ -376,6 +376,41 @@ def test_inverse_skips_the_gcd(monkeypatch):
         monkeypatch.setattr(ring, "_divmod", lambda *a: pytest.fail("gcd in inverse"))
         assert x.inverse() == want
         monkeypatch.undo()
+
+
+# -- the clearing scale of the denominator-free searches ----------------------------
+
+
+def _polynomial_at_every_level(x):
+    """Whether x is a polynomial in its own variable whose coefficients are
+    polynomials too, down to the base field."""
+    if x.level == 0:
+        return True
+    num, den = x.coefficients()
+    return den == (x.tower.one(),) and all(_polynomial_at_every_level(c) for c in num)
+
+
+CLEARING_TOWERS = [tower(2), tower(1, ("t",)), tower(2, ("t",)), tower(1, ("t1", "t2")), tower(2, ("t1", "t2"))]
+
+
+@pytest.mark.parametrize("tw", CLEARING_TOWERS, ids=lambda tw: tw.descriptor())
+def test_clearing_scale_leaves_no_denominator(tw):
+    rng = random.Random(tw.k * 10 + tw.height)
+    for _ in range(12):
+        xs = [_digest_element(tw, rng) for _ in range(rng.randrange(0, 5))]
+        if tw.height == 2:
+            # a level-2 element whose level-1 coefficients are fractions
+            t1, t2 = tw.gen(1), tw.gen(2)
+            xs.append((t1 / (1 + t1) + t2 / (t1 * t1 + t1 + 1)) / (1 + t2 / t1))
+        s = clearing_scale(tw, xs)
+        assert not s.is_zero() and _polynomial_at_every_level(s)
+        ring = tw.top_ring()
+        for x in xs:
+            y = s * x
+            assert _polynomial_at_every_level(y)
+            # the top ring's polynomial is y itself
+            assert ring.element(ring.polynomial(y)) == y
+    assert clearing_scale(tw, []) == tw.one()
 
 
 # -- canonical forms, pinned ------------------------------------------------------

@@ -15,8 +15,8 @@ from qchar2.parsing import parse_element, parse_field, parse_form
 from qchar2.suites import run_suite
 from qchar2.witt import (
     IsotropyVerdict,
+    _Cleared,
     _block_combos,
-    _pair_blocks,
     _polar_row,
     brute_search,
     candidate_scalars,
@@ -291,6 +291,25 @@ class TestForgedCertificates:
         cert = {k: x for k, x in v.certificate.items() if k != "inner"}
         assert not verify_certificate(f, IsotropyVerdict("isotropic", None, cert))
 
+    @pytest.mark.parametrize("kind,cert", [
+        ("isotropic", {"rule": "hensel-pair"}),
+        ("anisotropic", {"rule": "springer", "level": 1}),
+        ("isotropic", {"rule": "residue-lift", "level": 1, "part": "unit",
+                       "residue_pairs": [["1", "0"]], "inner": "exact-zero"}),
+        ("isotropic", {"rule": "exact-zero", "witness": ["1", "1"]}),
+        ("anisotropic", {"rule": "base-nonwp", "a": "1/0"}),
+        ("anisotropic", {"rule": "ql-independent", "entries": ["0"]}),
+        ("anisotropic", {"rule": "wild-binary", "a": "1/t", "level": 1.0}),
+        ("anisotropic", {"rule": "springer", "level": 1,
+                         "unit_part": {"pairs": [["0", "1"]], "certificate": {"rule": "empty"}},
+                         "t_part": {"pairs": [], "certificate": {"rule": "empty"}}}),
+    ])
+    def test_malformed_certificate_is_rejected(self, kind, cert):
+        # a missing field, a field of the wrong type or length, an
+        # unparseable or zero entry: each is False, never a traceback
+        f = parse_form(F2T, "[1,0]+[1,1]")
+        assert not verify_certificate(f, IsotropyVerdict(kind, None, cert))
+
     @pytest.mark.parametrize("text", ["t2*[1,t1]", "t2*[1,t1]+<1+t2>q"])
     def test_residue_lift_verifies_without_the_decider(self, monkeypatch, text):
         f = parse_form(F2TT, text)
@@ -500,7 +519,7 @@ def test_brute_search_hensel_pass_makes_no_form_wide_call(monkeypatch):
 
 # -- the identities the searches' arithmetic rests on ----------------------------------
 
-IDENTITY_TOWERS = [tower(1, ("t",)), tower(2, ("t",)), tower(1, ("t1", "t2"))]
+IDENTITY_TOWERS = [tower(2), tower(1, ("t",)), tower(2, ("t",)), tower(1, ("t1", "t2"))]
 IDENTITY_CASES = settings(max_examples=40, deadline=None)
 
 
@@ -519,7 +538,7 @@ def _scalar(tw):
             for level, e in enumerate(exponents, 1):
                 y = y * tw.monomial(level, e)
             x = x + y
-        return x / (tw.one() + tw.gen(tw.height)) if over_one_plus_t else x
+        return x / (tw.one() + tw.gen(tw.height)) if over_one_plus_t and tw.height else x
 
     return st.builds(build, st.lists(term, min_size=1, max_size=2), st.booleans())
 
@@ -554,8 +573,22 @@ def test_block_combo_values_are_form_values(tw, data):
     budget = data.draw(st.sampled_from((16, 100, 1000)))
     pool = candidate_scalars(tw, budget)
     # the blocks brute_search builds, pairs first, then quasilinear entries
-    blocks = _pair_blocks(f, pool[:3]) + [[((x,), c * x * x) for x in pool[:4]] for c in f.quasilinear]
+    cleared = _Cleared(f, pool[:4])
+    blocks = cleared.blocks(3, 4)
     prefix = data.draw(st.integers(1, len(blocks)))
-    for coords, value in _block_combos(tw, blocks[:prefix], budget):
+    ring, scale = tw.top_ring(), cleared.inverse.inverse()
+    for coords, key in _block_combos(ring, blocks[:prefix], budget):
         padded = coords + (tw.zero(),) * (f.dim - len(coords))
-        assert value == f.evaluate(padded)
+        scaled = ring.element(key)
+        assert scaled == scale * f.evaluate(padded)
+        assert _polynomial_at_every_level(scaled)
+        assert cleared.value(key) == f.evaluate(padded)
+
+
+def _polynomial_at_every_level(x):
+    """Whether x is a polynomial in its own variable whose coefficients are
+    polynomials too, down to the base field."""
+    if x.level == 0:
+        return True
+    num, den = x.coefficients()
+    return den == (x.tower.one(),) and all(_polynomial_at_every_level(c) for c in num)
