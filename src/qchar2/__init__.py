@@ -36,7 +36,6 @@ from .forms import (
     QuadraticPfister,
     normalize_presentation,
     orth_sum,
-    pfister_expand,
     scale,
     tensor,
 )
@@ -51,7 +50,6 @@ from .invariants import (
 )
 from .linkage import (
     LinkageWitness,
-    UInvariantTable,
     augmented_sum_index_check,
     d_invariant_estimate,
     inseparably_linked,
@@ -68,7 +66,6 @@ from .parsing import (
 )
 from .symlen import (
     DecompositionProof,
-    InseparableExtension,
     class_decompose,
     splitting_slots,
     symbol_length_bound,
@@ -94,14 +91,12 @@ __all__ = [
     "DifferentialForm",
     "FieldElement",
     "FieldTower",
-    "InseparableExtension",
     "IsotropyVerdict",
     "LinkageWitness",
     "QuadraticForm",
     "QuadraticPfister",
     "Symbol",
     "SymbolSum",
-    "UInvariantTable",
     "WittDecomposition",
     "WpNormalForm",
     "arf",
@@ -127,7 +122,6 @@ __all__ = [
     "parse_field",
     "parse_form",
     "parse_symbol_sum",
-    "pfister_expand",
     "pfister_pair_decompose",
     "scale",
     "splitting_slots",

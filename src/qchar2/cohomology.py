@@ -398,7 +398,7 @@ def symbol_pool(tw: FieldTower, budget: int) -> list[FieldElement]:
     return pool
 
 
-def symbol_length(s: SymbolSum, budget: int = 4096, extra_pool=()) -> LengthResult:
+def symbol_length(s: SymbolSum, budget: int = 4096) -> LengthResult:
     """Exact symbol length when certifiable (0, 1, or the basis-coordinate
     count when nothing shorter exists in the searched pool); otherwise an
     upper bound flagged inexact."""
@@ -416,7 +416,7 @@ def symbol_length(s: SymbolSum, budget: int = 4096, extra_pool=()) -> LengthResu
     if bound <= 1:
         return LengthResult(1, True, simplify(canonical))
     # bounded verified search for a single-symbol expression
-    pool = list(extra_pool) + symbol_pool(tw, budget)
+    pool = symbol_pool(tw, budget)
     tried = 0
     slots_needed = s.degree - 1
     for cand in _symbol_candidates(pool, slots_needed, s.degree):

@@ -837,7 +837,7 @@ class WpNormalForm:
     odd-valuation tail, or the canonical trace-one base element, or 0.
     `correction` satisfies x = reduced + wp(correction) exactly when
     `correction_exact` is set; otherwise the identity holds modulo a tail
-    of t-valuation beyond the configured precision.
+    of t-valuation beyond DEFAULT_WP_PRECISION.
     """
 
     reduced: FieldElement
@@ -857,15 +857,15 @@ def wp(y: FieldElement) -> FieldElement:
 
 
 @lru_cache(maxsize=65536)
-def wp_reduce(x: FieldElement, precision: int = DEFAULT_WP_PRECISION) -> WpNormalForm:
+def wp_reduce(x: FieldElement) -> WpNormalForm:
     """Reduce x modulo wp of the complete tower.
 
     The loop on each Laurent level: while the valuation is negative, an
     odd valuation or a non-square leading coefficient is a final
     obstruction; otherwise subtracting wp(sqrt(lead) * t^(v/2)) raises
     the valuation.  Once the valuation is nonnegative the positive part
-    lies in wp (series solution, truncated at `precision` terms) and the
-    constant term recurses one level down.  The membership verdict is
+    lies in wp (series solution, truncated at DEFAULT_WP_PRECISION terms)
+    and the constant term recurses one level down.  The membership verdict is
     exact even when the correction witness is truncated.
     """
     tw = x.tower
@@ -890,7 +890,7 @@ def wp_reduce(x: FieldElement, precision: int = DEFAULT_WP_PRECISION) -> WpNorma
         const = cur.residue(lev)
         plus = cur + const
         if not plus.is_zero():
-            correction = correction + _wp_series_witness(plus, lev, precision)
+            correction = correction + _wp_series_witness(plus, lev)
             exact = False
         cur = const
     bits = cur.bits
@@ -960,14 +960,14 @@ def _series_coeffs(x: FieldElement, level: int, n: int) -> list[FieldElement]:
     return out
 
 
-def _wp_series_witness(plus: FieldElement, level: int, precision: int) -> FieldElement:
-    # solve y^2 + y = plus to the given precision; val(plus) >= 1 makes the
+def _wp_series_witness(plus: FieldElement, level: int) -> FieldElement:
+    # solve y^2 + y = plus to DEFAULT_WP_PRECISION; val(plus) >= 1 makes the
     # iteration y <- plus + y^2 contract
     tw = plus.tower
-    n = precision + 1
+    n = DEFAULT_WP_PRECISION + 1
     target = _series_coeffs(plus, level, n)
     y = [tw.zero()] * n
-    for _ in range(max(1, precision.bit_length() + 1)):
+    for _ in range(DEFAULT_WP_PRECISION.bit_length() + 1):
         sq = [tw.zero()] * n
         for i in range((n + 1) // 2):
             if 2 * i < n:

@@ -9,9 +9,10 @@ produces a different (but possibly isometric) value, and all
 isometry-invariant questions live in the witt/invariants modules.
 
 The elementary isometry moves exposed here (Artin-Schreier shifts of an
-a-slot, rescaling a b-slot by a represented value, reordering, and full
-change-of-basis rescrambling through the Gram matrix) generate enough
-presentation changes to exercise "invariants do not move" properties.
+a-slot, rescaling a b-slot by a represented value, reordering, merging
+equal pairs) generate enough presentation changes to exercise
+"invariants do not move" properties; the Gram-matrix machinery splits
+hyperbolic planes off.
 """
 
 from __future__ import annotations
@@ -134,10 +135,6 @@ class BilinearPfister:
         return format_form(self)
 
     __repr__ = __str__
-
-
-def pfister_expand(p: QuadraticPfister) -> QuadraticForm:
-    return p.expand()
 
 
 def orth_sum(f: QuadraticForm, g: QuadraticForm) -> QuadraticForm:
@@ -357,13 +354,6 @@ def _complement_pairs(tw, m, basis, e, f) -> tuple:
     e and f, on the kernel basis of their polar functionals."""
     rows = [[gram_polar(tw, m, x, w) for w in basis] for x in (e, f)]
     return pairs_from_gram(tw, _restrict(tw, m, kernel_basis(tw, rows)))
-
-
-def rescramble(f: QuadraticForm, t) -> QuadraticForm:
-    """Isometric re-presentation of a nonsingular form through an
-    invertible change of basis; a quasilinear part raises SingularInput."""
-    m = _restrict(f.tower, gram(f), list(zip(*t)))
-    return QuadraticForm(f.tower, pairs_from_gram(f.tower, m))
 
 
 def split_plane(f: QuadraticForm, v) -> QuadraticForm:

@@ -2,15 +2,14 @@
 forms of the dimension/linkage theorems.
 
 Field-global hypotheses ("every two fold-n forms are linked") are never
-assumed: they are sampled with recorded evidence, and every theorem
-check is conditional on its recorded inputs.  Witness searches are
-verified before anything is returned; exhaustion is reported, never
-papered over.
+assumed: every theorem check is conditional on its recorded inputs.
+Witness searches are verified before anything is returned; exhaustion
+is reported, never papered over.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from .cohomology import SymbolSum, class_trivial, simplify, symbol_length
@@ -371,7 +370,7 @@ class UEstimate:
     lower_dim: int
     witness: QuadraticPfister | None
     provenance: str
-    evidence: dict = field(default_factory=dict)
+    evidence: dict
 
 
 def canonical_witness(tw: FieldTower, fold: int | None = None) -> QuadraticPfister:
@@ -444,57 +443,6 @@ def u_invariant_estimate(tw: FieldTower, n: int, samples: int = 200, seed: int =
         "derived: anisotropic witness plus sampled isotropy at claimed+2",
         evidence,
     )
-
-
-@dataclass
-class UInvariantTable:
-    entries: dict = field(default_factory=dict)
-
-    def record(self, tw: FieldTower, n: int, estimate: UEstimate):
-        self.entries[(tw.descriptor(), n)] = estimate
-
-    def get(self, tw: FieldTower, n: int) -> UEstimate | None:
-        return self.entries.get((tw.descriptor(), n))
-
-    def value(self, tw: FieldTower, n: int) -> int:
-        e = self.get(tw, n)
-        if e is None:
-            raise KeyError(f"no u^{n} entry for {tw.descriptor()}")
-        return e.value
-
-    def validate(self) -> bool:
-        by_field: dict = {}
-        for (desc, n), e in self.entries.items():
-            by_field.setdefault(desc, {})[n] = e
-        for desc, vals in by_field.items():
-            degrees = sorted(vals)
-            for i, j in zip(degrees, degrees[1:]):
-                vi, vj = vals[i].value, vals[j].value
-                if vi and vj and vi < vj:
-                    return False
-            for n, e in vals.items():
-                if e.witness is not None and e.value < e.witness.expand().dim:
-                    return False
-        return True
-
-
-def default_u_table(tw: FieldTower, max_degree: int | None = None) -> UInvariantTable:
-    table = UInvariantTable()
-    top = max_degree if max_degree is not None else tw.height + 2
-    for n in range(1, top + 1):
-        m = tw.height
-        if n >= m + 2:
-            est = UEstimate(0, 0, None, "derived: vanishing table", {})
-        else:
-            est = UEstimate(
-                2 ** (m + 1),
-                2 ** (m + 1),
-                canonical_witness(tw),
-                "derived: witness family (sampled evidence via u_invariant_estimate)",
-                {},
-            )
-        table.record(tw, n, est)
-    return table
 
 
 # -- the dimension theorem -------------------------------------------------------------
@@ -724,38 +672,3 @@ def augmented_sum_index_check(
     return IndexCheckResult(
         found and big_hyperbolic, index_lower, 2 ** (n - 1) + 1, tuple(chain)
     )
-
-
-# -- sampled linkage evidence ---------------------------------------------------------
-
-
-def sample_linkage_evidence(tw: FieldTower, n: int, samples: int = 50, seed: int = 0) -> dict:
-    """Evidence record for "every two fold-n forms are separably
-    (n-1)-linked": sampled pairs, observed linkage indices."""
-    from .sampling import Sampler
-
-    sampler = Sampler(tw, seed)
-    linked = 0
-    undecided = 0
-    min_r = None
-    for _ in range(samples):
-        p = sampler.anisotropic_pfister(n)
-        q = sampler.anisotropic_pfister(n)
-        try:
-            res = max_separable_linkage(p, q)
-        except UndecidableInstance:
-            undecided += 1
-            continue
-        if res.r >= n - 1:
-            linked += 1
-        min_r = res.r if min_r is None else min(min_r, res.r)
-    return {
-        "field": tw.descriptor(),
-        "fold": n,
-        "samples": samples,
-        "seed": seed,
-        "linked": linked,
-        "undecided": undecided,
-        "min_linkage_index": min_r,
-        "all_linked": linked + undecided == samples and undecided == 0,
-    }

@@ -23,6 +23,7 @@ from .forms import (
     orth_sum,
     scale,
 )
+from .linkage import canonical_witness
 from .witt import isotropy
 
 
@@ -87,16 +88,14 @@ class Sampler:
         slots = tuple(self.tame_b() for _ in range(fold - 1))
         return QuadraticPfister(slots, self.tame_a())
 
-    def anisotropic_pfister(self, fold: int, tries: int = 60) -> QuadraticPfister:
-        for _ in range(tries):
+    def anisotropic_pfister(self, fold: int) -> QuadraticPfister:
+        for _ in range(60):
             p = self.pfister(fold)
             verdict = isotropy(p.expand())
             if verdict.is_anisotropic:
                 return p
         # the canonical witness family always works
-        tw = self.tower
-        slots = tuple(tw.gen(i) for i in range(1, fold))
-        return QuadraticPfister(slots, tw.trace_one_element())
+        return canonical_witness(self.tower, fold)
 
     def iqn_form(self, n: int, pieces: int) -> QuadraticForm:
         """Sum of scaled fold-n Pfister expansions: a member of the

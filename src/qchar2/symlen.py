@@ -1,5 +1,5 @@
-"""Splitting slots, decomposition over inseparable extensions, and
-symbol-length bounds.
+"""Splitting slots, verified class decompositions, and symbol-length
+bounds.
 
 The pipeline: a normalized form of dimension 2m inside the degree-n
 subgroup becomes hyperbolic over K = F[sqrt(b_1), ..., sqrt(b_l)] with
@@ -35,7 +35,7 @@ from .errors import (
     UndecidableClass,
     UndecidableInstance,
 )
-from .fields import FieldElement, FieldTower, wp_reduce
+from .fields import wp_reduce
 from .forms import (
     QuadraticForm,
     QuadraticPfister,
@@ -45,137 +45,7 @@ from .forms import (
     scale,
 )
 from .invariants import clifford, in_iqn
-from .linalg import solve, square_span_rank
 from .witt import witt_decompose, witt_equivalent
-
-
-# -- multiquadratic inseparable extensions ----------------------------------------
-
-
-class InseparableExtension:
-    """K = F[sqrt(b_1), ..., sqrt(b_l)] with coordinates over the basis of
-    square-root products; used for small-scale brute verification only.
-
-    Dependent candidates (squares in the partial extension) are dropped so
-    that K is a field of degree 2^l over F.
-    """
-
-    def __init__(self, tw: FieldTower, adjoined):
-        self.tower = tw
-        kept = []
-        for b in adjoined:
-            if b.is_zero():
-                raise ValueError("cannot adjoin sqrt(0)")
-            products = [self._product(tw, kept, mask) for mask in range(1 << len(kept))]
-            rank_before, _ = square_span_rank(tw, products)
-            rank_after, _ = square_span_rank(tw, products + [b])
-            if rank_after > rank_before:
-                kept.append(b)
-        self.adjoined = tuple(kept)
-        self.size = 1 << len(kept)
-
-    @staticmethod
-    def _product(tw, elements, mask):
-        acc = tw.one()
-        for i, b in enumerate(elements):
-            if mask >> i & 1:
-                acc = acc * b
-        return acc
-
-    @property
-    def degree(self) -> int:
-        return self.size
-
-    def embed(self, x: FieldElement):
-        v = [self.tower.zero()] * self.size
-        v[0] = x
-        return tuple(v)
-
-    def zero(self):
-        return tuple([self.tower.zero()] * self.size)
-
-    def one(self):
-        return self.embed(self.tower.one())
-
-    def sqrt_generator(self, i: int):
-        v = [self.tower.zero()] * self.size
-        v[1 << i] = self.tower.one()
-        return tuple(v)
-
-    def add(self, x, y):
-        return tuple(a + b for a, b in zip(x, y))
-
-    def mul(self, x, y):
-        zero = self.tower.zero()
-        out = [zero] * self.size
-        for s, cx in enumerate(x):
-            if cx.is_zero():
-                continue
-            for t, cy in enumerate(y):
-                if cy.is_zero():
-                    continue
-                coeff = cx * cy
-                for i in range(len(self.adjoined)):
-                    if (s >> i & 1) and (t >> i & 1):
-                        coeff = coeff * self.adjoined[i]
-                out[s ^ t] = out[s ^ t] + coeff
-        return tuple(out)
-
-    def is_zero(self, x) -> bool:
-        return all(c.is_zero() for c in x)
-
-    def inverse(self, x):
-        if self.is_zero(x):
-            raise ZeroDivisionError("inverting 0 in the extension")
-        cols = []
-        for t in range(self.size):
-            basis = [self.tower.zero()] * self.size
-            basis[t] = self.tower.one()
-            cols.append(self.mul(x, tuple(basis)))
-        rows = [[cols[t][s] for t in range(self.size)] for s in range(self.size)]
-        rhs = [self.tower.one()] + [self.tower.zero()] * (self.size - 1)
-        sol = solve(self.tower, rows, rhs)
-        if sol is None:
-            raise ZeroDivisionError("element is a zero divisor; extension not a field?")
-        return tuple(sol)
-
-    def evaluate_form(self, f: QuadraticForm, vector):
-        acc = self.zero()
-        for i, (b, a) in enumerate(f.pairs):
-            x, y = vector[2 * i], vector[2 * i + 1]
-            val = self.add(
-                self.add(self.mul(x, x), self.mul(x, y)),
-                self.mul(self.embed(a), self.mul(y, y)),
-            )
-            acc = self.add(acc, self.mul(self.embed(b), val))
-        for j, c in enumerate(f.quasilinear):
-            z = vector[2 * len(f.pairs) + j]
-            acc = self.add(acc, self.mul(self.embed(c), self.mul(z, z)))
-        return acc
-
-
-def extension_isotropy_search(f: QuadraticForm, ext: InseparableExtension, budget: int):
-    """Small brute search for a zero of f over the extension; exact."""
-    tw = ext.tower
-    scalars = [tw.zero(), tw.one()]
-    if tw.height >= 1:
-        scalars.append(tw.gen(1))
-    cands = [ext.zero(), ext.one()]
-    for i in range(len(ext.adjoined)):
-        cands.append(ext.sqrt_generator(i))
-        cands.append(ext.add(ext.one(), ext.sqrt_generator(i)))
-    for s in scalars[1:]:
-        cands.append(ext.embed(s))
-    tried = 0
-    for vec in product(cands, repeat=f.dim):
-        tried += 1
-        if tried > budget:
-            return None
-        if all(ext.is_zero(x) for x in vec):
-            continue
-        if ext.is_zero(ext.evaluate_form(f, vec)):
-            return vec
-    return None
 
 
 # -- splitting slots --------------------------------------------------------------
@@ -229,14 +99,6 @@ def splitting_slots(f: QuadraticForm, n: int):
             f"the residual of {f} at fold {n} has dimension {residual_dim}, not 2^{n} - 2"
         )
     return slots, DecompositionProof(chain, hauptsatz)
-
-
-def verify_splitting_brute(f: QuadraticForm, slots, budget: int = 20000) -> bool:
-    """Desk-scale cross-check: f acquires a zero over F[sqrt(b_i)]."""
-    ext = InseparableExtension(f.tower, slots)
-    if ext.degree == 1:
-        return True
-    return extension_isotropy_search(f, ext, budget) is not None
 
 
 # -- the verified wedge decomposition ----------------------------------------------
@@ -310,12 +172,7 @@ def _assignments(candidates, ell):
 # -- full class decomposition --------------------------------------------------------
 
 
-def class_decompose(
-    f: QuadraticForm,
-    n: int,
-    budget: int = 100000,
-    class_hint: SymbolSum | None = None,
-) -> SymbolSum:
+def class_decompose(f: QuadraticForm, n: int, budget: int = 100000) -> SymbolSum:
     """Short symbol expression for the degree-n class of f, verified.
 
     Degree 2 runs the full pipeline (Witt reduction, normalization,
@@ -323,7 +180,7 @@ def class_decompose(
     is not formula-computable from a presentation, but over supported
     towers anisotropic kernels in the degree-n subgroup have the minimal
     dimension 2^n, so slot recovery plus the invariant map covers every
-    reachable case; `class_hint` may supply the class explicitly.
+    reachable case.
     """
     if n < 2:
         raise HypothesisViolated("decomposition starts at degree 2")
@@ -348,12 +205,7 @@ def class_decompose(
             " supported search fragment"
         )
     sym = pfister_slot_recovery(kernel, n, budget)
-    out = simplify(SymbolSum(n, (sym,)))
-    if class_hint is not None:
-        check = class_trivial(out + class_hint)
-        if check is not True:
-            raise UndecidableClass("recovered class disagrees with the hint")
-    return out
+    return simplify(SymbolSum(n, (sym,)))
 
 
 def _decompose_degree_two(kernel: QuadraticForm, budget: int) -> SymbolSum:

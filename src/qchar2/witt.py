@@ -260,20 +260,25 @@ def _springer_split(tw, pairs, ql, level):
 
     `pairs` and the quasilinear entries `ql` have b-slots (entries) that
     are units or t times units; each goes to the unit or the t part.
-    Returns ((pair indices, residue form f1), (pair indices, residue
-    form f2)).
+    Returns ((coordinates, residue form f1), (coordinates, residue form
+    f2)), each list naming the coordinates of f that carry the residue
+    form's, in its order.
     """
     t = tw.gen(level)
     # index 0 collects the unit part, index 1 the t part
-    idx, res, ql_res = ([], []), ([], []), ([], [])
+    coords, res, ql_coords, ql_res = ([], []), ([], []), ([], []), ([], [])
     for i, (b, a) in enumerate(pairs):
         odd = b.valuation(level) != 0
-        idx[odd].append(i)
+        coords[odd].extend((2 * i, 2 * i + 1))
         res[odd].append(((b / t if odd else b).residue(level), a.residue(level)))
-    for c in ql:
+    for j, c in enumerate(ql):
         odd = c.valuation(level) != 0
+        ql_coords[odd].append(2 * len(pairs) + j)
         ql_res[odd].append((c / t if odd else c).residue(level))
-    return tuple((idx[k], QuadraticForm(tw, tuple(res[k]), tuple(ql_res[k]))) for k in (0, 1))
+    return tuple(
+        (coords[k] + ql_coords[k], QuadraticForm(tw, tuple(res[k]), tuple(ql_res[k])))
+        for k in (0, 1)
+    )
 
 
 def _pair_strs(pairs):
@@ -325,7 +330,8 @@ def _embed_verdict(f, verdict, offset):
         if got is None:
             raise RefutationCandidate(f"a Hensel pair of a subform of {f} fails once padded")
         return got
-    # a residue-lift verifies against its own stored residue form
+    # a residue-lift is checked on the residue forms of f's nonsingular
+    # part, which is the subform's
     return verdict
 
 
@@ -396,15 +402,15 @@ def _isotropy_nonsingular(f: QuadraticForm, budget: int) -> IsotropyVerdict:
             return IsotropyVerdict("anisotropic", None, cert)
         return _searched(f, budget, {"reason": "wild mixture", "wild_pairs": wild})
 
-    (unit_idx, unit_form), (t_idx, t_form) = _springer_split(tw, pairs, (), level)
+    (unit_coords, unit_form), (t_coords, t_form) = _springer_split(tw, pairs, (), level)
     certs = {}
-    for idx_list, res_form, part in ((unit_idx, unit_form, "unit"), (t_idx, t_form, "t")):
+    for coords, res_form, part in ((unit_coords, unit_form, "unit"), (t_coords, t_form, "t")):
         if res_form.dim == 0:
             certs[part] = {"rule": "empty"}
             continue
         sub = _isotropy_nonsingular(res_form, budget)
         if sub.is_isotropic:
-            lifted = _lift_residue_isotropy(f, sub, res_form, idx_list, level, part)
+            lifted = _lift_residue_isotropy(f, sub, res_form, coords, level, part)
             if lifted is not None:
                 return lifted
             return IsotropyVerdict(
@@ -426,7 +432,19 @@ def _isotropy_nonsingular(f: QuadraticForm, budget: int) -> IsotropyVerdict:
     return IsotropyVerdict("anisotropic", None, cert)
 
 
-def _lift_residue_isotropy(f, sub, res_form, idx_list, level, part):
+def _lift_witness(f: QuadraticForm, coords, w) -> IsotropyVerdict | None:
+    """An exact residue witness w, placed on the coordinates `coords` of f,
+    as an exact zero of f or a Hensel pair with a basis vector; None when
+    neither certifies.  The partners with B(v, e_i) != 0 are the basis
+    vectors paired to a nonzero witness coordinate."""
+    v = [f.tower.zero()] * f.dim
+    for k, x in zip(coords, w):
+        v[k] = x
+    v = tuple(v)
+    return _hensel_scan(f, v, f.evaluate(v), _polar_row(f, v), _basis(f))
+
+
+def _lift_residue_isotropy(f, sub, res_form, coords, level, part):
     """Turn a residue-form isotropy into a verdict on f.
 
     With an exact residue witness the smooth point lifts: we verify a
@@ -435,16 +453,8 @@ def _lift_residue_isotropy(f, sub, res_form, idx_list, level, part):
     completed residue field; the pair form is nonsingular there, so the
     point is smooth and lifts).
     """
-    tw = f.tower
     if sub.witness is not None:
-        v = [tw.zero()] * f.dim
-        for j, i in enumerate(idx_list):
-            v[2 * i] = sub.witness[2 * j]
-            v[2 * i + 1] = sub.witness[2 * j + 1]
-        v = tuple(v)
-        # the partners with B(v, e_i) != 0 are the basis vectors paired to
-        # a nonzero witness coordinate
-        return _hensel_scan(f, v, f.evaluate(v), _polar_row(f, v), _basis(f))
+        return _lift_witness(f, coords, sub.witness)
     cert = {
         "rule": "residue-lift",
         "level": level,
@@ -491,18 +501,21 @@ def _isotropy_mixed(f: QuadraticForm, budget: int) -> IsotropyVerdict:
     ql = tuple(strip_even_power(c, level) for c in f.quasilinear)
     if not wild:
         subs = []
-        for (_, g), part in zip(_springer_split(tw, pairs, ql, level), ("unit", "t")):
+        for (coords, g), part in zip(_springer_split(tw, pairs, ql, level), ("unit", "t")):
             if g.dim == 0:
                 subs.append(({"rule": "empty"}, part))
                 continue
             sub = isotropy(g, budget)
             if sub.is_isotropic:
-                # lift only through a zero with nonsingular support; a
-                # purely quasilinear residue zero does not lift
-                return _searched(
+                found = _searched(
                     f, budget,
                     {"reason": "mixed residue isotropy without a liftable point", "part": part},
                 )
+                if found.decided or sub.witness is None:
+                    return found
+                # lift only through a zero with nonsingular support; a
+                # purely quasilinear residue zero does not lift
+                return _lift_witness(f, coords, sub.witness) or found
             if not sub.decided:
                 return IsotropyVerdict(
                     "undecided", None, None,
@@ -815,11 +828,11 @@ def verify_certificate(f: QuadraticForm, verdict: IsotropyVerdict) -> bool:
     return _verify_cert(f, verdict.certificate, verdict.kind)
 
 
-def _parsed(tw, strs, n=None):
-    """The elements a certificate field lists: a list of parseable strings,
-    n of them when n is given; else None."""
+def _parsed(tw, strs, n):
+    """The n elements a certificate field lists as parseable strings, or
+    None."""
     ok = isinstance(strs, list) and all(isinstance(s, str) for s in strs)
-    if not ok or n not in (None, len(strs)):
+    if not ok or n != len(strs):
         return None
     try:
         return tuple(parse_element(tw, s) for s in strs)
@@ -827,14 +840,22 @@ def _parsed(tw, strs, n=None):
         return None
 
 
-def _parsed_pairs(tw, rows):
-    """The pairs (b, a), b != 0, that a certificate field lists, or None."""
-    ok = isinstance(rows, list) and all(isinstance(r, list) and len(r) == 2 for r in rows)
-    flat = _parsed(tw, [s for r in rows for s in r]) if ok else None
-    return tuple(zip(flat[::2], flat[1::2])) if flat is not None and all(flat[::2]) else None
+def _residue_forms(f: QuadraticForm, level) -> dict | None:
+    """{"unit": f1, "t": f2}, the Springer split of the nonsingular form f at
+    its own level, when `level` names that level and f is tame there; else
+    None."""
+    own = _form_level(f)
+    if not own or level != own:
+        return None
+    pairs, wild = _normalize_pairs(f, own)
+    if wild:
+        return None
+    return {part: g for part, (_, g) in zip(("unit", "t"), _springer_split(f.tower, pairs, (), own))}
 
 
 def _verify_cert(f: QuadraticForm, cert, kind: str) -> bool:
+    """Each rule rebuilds its data from f and compares what the certificate
+    stores with it; the decider is re-run only for `springer-mixed`."""
     if not isinstance(cert, dict):
         return False
     tw = f.tower
@@ -847,29 +868,34 @@ def _verify_cert(f: QuadraticForm, cert, kind: str) -> bool:
             v, u = (_parsed(tw, cert.get(k), f.dim) for k in ("v", "u"))
             return v is not None and u is not None and hensel_pair_applies(f, v, u)
         if rule == "residue-lift":
-            g = _parsed_pairs(tw, cert.get("residue_pairs"))
-            return g is not None and _verify_cert(QuadraticForm(tw, g), cert.get("inner"), kind)
+            # a zero of a residue form of f's nonsingular part lifts to f
+            g = (_residue_forms(f.nonsingular_part(), cert.get("level")) or {}).get(cert.get("part"))
+            return (g is not None and cert.get("residue_pairs") == _pair_strs(g.pairs)
+                    and _verify_cert(g, cert.get("inner"), kind))
         return False
     # anisotropic side
     if rule == "empty":
         return f.dim == 0
-    if rule == "base-nonwp":
-        a = _parsed(tw, [cert.get("a")])
-        return a is not None and not wp_reduce(a[0]).is_in_wp
-    if rule == "wild-binary":
-        a, level = _parsed(tw, [cert.get("a")]), cert.get("level")
-        ok = a is not None and isinstance(level, int) and 1 <= level <= tw.height
-        return ok and exact_tail_reduce(a[0], level)[1]
     if rule == "ql-independent":
-        entries = _parsed(tw, cert.get("entries"))
-        return entries is not None and all(entries) and square_dependence(tw, entries) is None
-    if rule == "springer":
-        parts = [cert.get(part) for part in ("unit_part", "t_part")]
-        pairs = [_parsed_pairs(tw, p.get("pairs")) if isinstance(p, dict) else None for p in parts]
-        return None not in pairs and all(
-            _verify_cert(QuadraticForm(tw, g), p.get("certificate"), "anisotropic")
-            for g, p in zip(pairs, parts) if g
-        )
+        return (not f.pairs and cert.get("entries") == _vec_str(f.quasilinear)
+                and square_dependence(tw, f.quasilinear) is None)
     if rule == "springer-mixed":
         return isotropy(f).is_anisotropic     # structural record: re-decide
+    # the other rules certify nonsingular forms, the first two a single pair
+    if f.quasilinear:
+        return False
+    level, single = _form_level(f), len(f.pairs) == 1
+    if rule == "base-nonwp":
+        r = wp_reduce(f.pairs[0][1]) if single else None
+        return r is not None and not r.is_in_wp and cert.get("a") == str(r.reduced)
+    if rule == "wild-binary":
+        a, wild = exact_tail_reduce(f.pairs[0][1], level) if single and level else (None, False)
+        return wild and cert.get("level") == level and cert.get("a") == str(a)
+    if rule == "springer":
+        parts = _residue_forms(f, cert.get("level"))
+        return parts is not None and all(
+            isinstance(p, dict) and p.get("pairs") == _pair_strs(g.pairs)
+            and _verify_cert(g, p.get("certificate"), kind)
+            for p, g in ((cert.get(f"{part}_part"), g) for part, g in parts.items())
+        )
     return False

@@ -6,6 +6,8 @@ import json
 import pytest
 
 from qchar2.cli import main
+from qchar2.parsing import parse_field, parse_form
+from qchar2.witt import IsotropyVerdict, verify_certificate
 
 
 def run(capsys, *argv):
@@ -26,6 +28,17 @@ class TestVerbs:
                         "[1,1/t]+(1+t)*[1,1/t]", "--budget", "64")
         assert code == 1
         assert "undecided" in out
+
+    def test_mixed_residue_zero_lifts(self, capsys):
+        # the unit residue [1,z^5]+<1>q has an exact zero, which gives a
+        # Hensel pair on the form itself
+        text = "[1,z^5]+<1+t>q"
+        code, out = run(capsys, "isotropy", "--field", "F2^8((t))", text,
+                        "--format", "json", "--no-meta")
+        assert code == 0
+        data = json.loads(out)
+        f = parse_form(parse_field("F2^8((t))"), text)
+        assert verify_certificate(f, IsotropyVerdict(data["verdict"], None, data["certificate"]))
 
     def test_symlen_bound(self, capsys):
         code, out = run(capsys, "symlen", "bound", "--u", "8,8", "--n", "3")

@@ -10,6 +10,7 @@ from qchar2.errors import ArfNontrivial, SingularInput, UndecidableInstance, Zer
 from qchar2.fields import FieldElement, tower, wp, wp_reduce
 from qchar2.forms import (
     BilinearPfister,
+    _restrict,
     QuadraticForm,
     QuadraticPfister,
     arf_sum,
@@ -22,7 +23,6 @@ from qchar2.forms import (
     move_wp_shift_by,
     normalize_presentation,
     pairs_from_gram,
-    rescramble,
     scale,
     split_plane,
     tensor,
@@ -37,6 +37,14 @@ F2TT = tower(1, ("t1", "t2"))
 
 def el(tw, s):
     return parse_element(tw, s)
+
+
+def rescramble(f: QuadraticForm, t) -> QuadraticForm:
+    """Isometric re-presentation of a nonsingular form on the basis formed
+    by the columns of the invertible matrix t: a test reference for the
+    Gram machinery.  A quasilinear part raises SingularInput."""
+    m = _restrict(f.tower, gram(f), list(zip(*t)))
+    return QuadraticForm(f.tower, pairs_from_gram(f.tower, m))
 
 
 class TestPfisterExpansion:

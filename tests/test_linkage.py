@@ -8,13 +8,11 @@ from qchar2.linkage import (
     augmented_sum_index_check,
     canonical_witness,
     d_invariant_estimate,
-    default_u_table,
     inseparably_linked,
     lift_linkage,
     max_separable_linkage,
     pfister_pair_decompose,
     pfisters_isometric,
-    sample_linkage_evidence,
     u_invariant_estimate,
     verify_linkage_witness,
 )
@@ -161,12 +159,6 @@ class TestUInvariant:
         est = u_invariant_estimate(F2T, 3, samples=5, seed=3)
         assert est.value == 0
 
-    def test_table_validates(self):
-        table = default_u_table(F2TT)
-        assert table.validate()
-        assert table.value(F2TT, 2) == 8
-        assert table.value(F2TT, 4) == 0
-
     def test_canonical_witness_anisotropic(self):
         for tw in (F2, F2T, F2TT):
             w = canonical_witness(tw)
@@ -232,13 +224,3 @@ class TestAugmentedIndex:
             rho, el(F2T, "t"), F2T.one(), F2T.one(), budget=20000
         )
         assert res.index_lower >= 3 or res.ok
-
-
-class TestEvidence:
-    def test_m1_linked_sampling(self):
-        ev = sample_linkage_evidence(F2T, 2, samples=15, seed=5)
-        assert ev["all_linked"]
-
-    def test_m2_linked_sampling(self):
-        ev = sample_linkage_evidence(F2TT, 2, samples=10, seed=5)
-        assert ev["linked"] + ev["undecided"] == 10

@@ -310,6 +310,55 @@ class TestForgedCertificates:
         f = parse_form(F2T, "[1,0]+[1,1]")
         assert not verify_certificate(f, IsotropyVerdict(kind, None, cert))
 
+    @pytest.mark.parametrize("text,kind,cert", [
+        ("[1,0]+[1,1]", "anisotropic", {"rule": "base-nonwp", "a": "1", "trace": 1}),
+        ("[1,0]+[1,1]", "anisotropic", {"rule": "wild-binary", "reason": "odd-valuation",
+                                        "a": "1/t", "level": 1, "valuation": -1}),
+        ("[1,0]+[1,1]", "anisotropic", {"rule": "ql-independent", "entries": ["1", "t"]}),
+        ("[1,0]+[1,1]", "anisotropic", {"rule": "springer", "level": 1,
+                                        "unit_part": {"pairs": [], "certificate": {"rule": "empty"}},
+                                        "t_part": {"pairs": [], "certificate": {"rule": "empty"}}}),
+        ("<<t,1]]", "isotropic", {"rule": "residue-lift", "level": 1, "part": "unit",
+                                  "residue_pairs": [["1", "0"]],
+                                  "inner": {"rule": "exact-zero", "witness": ["0", "1"]}}),
+        # the same rules on forms of the shape they certify
+        ("[1,t]", "anisotropic", {"rule": "base-nonwp", "a": "1", "trace": 1}),
+        ("[1,t]", "anisotropic", {"rule": "wild-binary", "reason": "odd-valuation",
+                                  "a": "1/t", "level": 1, "valuation": -1}),
+        ("<1,t^2>q", "anisotropic", {"rule": "ql-independent", "entries": ["1", "t"]}),
+        ("[1,0]+t*[1,1]", "anisotropic", {
+            "rule": "springer", "level": 1,
+            "unit_part": {"pairs": [["1", "1"]], "certificate": {"rule": "base-nonwp", "a": "1"}},
+            "t_part": {"pairs": [["1", "1"]], "certificate": {"rule": "base-nonwp", "a": "1"}}}),
+    ])
+    def test_certificate_of_another_form_is_rejected(self, text, kind, cert):
+        # each certificate claims the opposite of the form's verdict, with
+        # data that hold for some other form
+        f = parse_form(F2T, text)
+        assert isotropy(f).is_isotropic != (kind == "isotropic")
+        assert not verify_certificate(f, IsotropyVerdict(kind, None, cert))
+
+    @pytest.mark.parametrize("field,text,path,value", [
+        ("F2((t))", "<<t,1]]", ("unit_part", "pairs"), [["1", "t"]]),
+        ("F2((t))", "<<t,1]]", ("level",), 2),
+        ("F2((t1))((t2))", "t2*[1,t1]", ("residue_pairs",), [["1", "t1^3"]]),
+        ("F2((t))", "[1,1]", ("a",), "1/t"),
+        ("F2((t))", "[1,1/t]", ("a",), "1/t^3"),
+        ("F2((t))", "<1,t>q", ("entries",), ["1", "1/t"]),
+    ])
+    def test_stored_field_must_be_the_one_built_from_the_form(self, field, text, path, value):
+        # the decider's own certificate with one stored field changed; the
+        # changed one would certify some other form
+        f = parse_form(parse_field(field), text)
+        v = isotropy(f)
+        assert verify_certificate(f, v)
+        cert = json.loads(json.dumps(v.certificate))
+        node = cert
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        assert not verify_certificate(f, IsotropyVerdict(v.kind, None, cert))
+
     @pytest.mark.parametrize("text", ["t2*[1,t1]", "t2*[1,t1]+<1+t2>q"])
     def test_residue_lift_verifies_without_the_decider(self, monkeypatch, text):
         f = parse_form(F2TT, text)
@@ -422,7 +471,7 @@ DECIDER_CHAINS = [
     ("F2^2((t))", "1", "t+(z+1)", "(z+1)/t", "(t^2+z)/t", "z+1"),
     ("F2((t1))((t2))", "t1/t2", "(1/t1)*t2+1", "(t2+(1/t1))/t2", "1/t2", "((1/t1)*t2+t1)/t2"),
 ]
-DECIDER_SHA256 = "37bf4807e125dc2a3eaaf8f2481c6e91115506982ae468daed90f277cd79cac5"
+DECIDER_SHA256 = "c9abb71ad5db3ff23366bba617cbced6f1ea1b1dc066425a6b7466828c22a81c"
 
 
 def _decider_form(tw, rng):
