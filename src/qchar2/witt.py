@@ -869,7 +869,8 @@ def _verify_cert(f: QuadraticForm, cert, kind: str) -> bool:
             return v is not None and u is not None and hensel_pair_applies(f, v, u)
         if rule == "residue-lift":
             # a zero of a residue form of f's nonsingular part lifts to f
-            g = (_residue_forms(f.nonsingular_part(), cert.get("level")) or {}).get(cert.get("part"))
+            parts = (_residue_forms(f.nonsingular_part(), cert.get("level")) or {}).items()
+            g = next((g for part, g in parts if part == cert.get("part")), None)
             return (g is not None and cert.get("residue_pairs") == _pair_strs(g.pairs)
                     and _verify_cert(g, cert.get("inner"), kind))
         return False

@@ -296,6 +296,8 @@ class TestForgedCertificates:
         ("anisotropic", {"rule": "springer", "level": 1}),
         ("isotropic", {"rule": "residue-lift", "level": 1, "part": "unit",
                        "residue_pairs": [["1", "0"]], "inner": "exact-zero"}),
+        ("isotropic", {"rule": "residue-lift", "level": 0, "part": ["unit"],
+                       "residue_pairs": [["1", "0"]], "inner": {"rule": "empty"}}),
         ("isotropic", {"rule": "exact-zero", "witness": ["1", "1"]}),
         ("anisotropic", {"rule": "base-nonwp", "a": "1/0"}),
         ("anisotropic", {"rule": "ql-independent", "entries": ["0"]}),
