@@ -840,17 +840,17 @@ def _parsed(tw, strs, n):
         return None
 
 
-def _residue_forms(f: QuadraticForm, level) -> dict | None:
-    """{"unit": f1, "t": f2}, the Springer split of the nonsingular form f at
-    its own level, when `level` names that level and f is tame there; else
-    None."""
+def _residue_forms(f: QuadraticForm, level) -> list | None:
+    """[("unit", f1), ("t", f2)], the Springer split of the nonsingular form
+    f at its own level, when `level` names that level and f is tame there;
+    else None."""
     own = _form_level(f)
     if not own or level != own:
         return None
     pairs, wild = _normalize_pairs(f, own)
     if wild:
         return None
-    return {part: g for part, (_, g) in zip(("unit", "t"), _springer_split(f.tower, pairs, (), own))}
+    return [(part, g) for part, (_, g) in zip(("unit", "t"), _springer_split(f.tower, pairs, (), own))]
 
 
 def _verify_cert(f: QuadraticForm, cert, kind: str) -> bool:
@@ -869,7 +869,7 @@ def _verify_cert(f: QuadraticForm, cert, kind: str) -> bool:
             return v is not None and u is not None and hensel_pair_applies(f, v, u)
         if rule == "residue-lift":
             # a zero of a residue form of f's nonsingular part lifts to f
-            parts = (_residue_forms(f.nonsingular_part(), cert.get("level")) or {}).items()
+            parts = _residue_forms(f.nonsingular_part(), cert.get("level")) or ()
             g = next((g for part, g in parts if part == cert.get("part")), None)
             return (g is not None and cert.get("residue_pairs") == _pair_strs(g.pairs)
                     and _verify_cert(g, cert.get("inner"), kind))
@@ -897,6 +897,6 @@ def _verify_cert(f: QuadraticForm, cert, kind: str) -> bool:
         return parts is not None and all(
             isinstance(p, dict) and p.get("pairs") == _pair_strs(g.pairs)
             and _verify_cert(g, p.get("certificate"), kind)
-            for p, g in ((cert.get(f"{part}_part"), g) for part, g in parts.items())
+            for p, g in ((cert.get(f"{part}_part"), g) for part, g in parts)
         )
     return False
