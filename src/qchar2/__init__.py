@@ -40,7 +40,6 @@ from .forms import (
     tensor,
 )
 from .invariants import (
-    CliffordSymbolSum,
     arf,
     clifford,
     clifford_trivial,
@@ -86,7 +85,6 @@ from .witt import (
 
 __all__ = [
     "BilinearPfister",
-    "CliffordSymbolSum",
     "DecompositionProof",
     "DifferentialForm",
     "FieldElement",

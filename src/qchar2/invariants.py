@@ -10,8 +10,6 @@ the invariants for n <= 3 and by the vanishing table beyond that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cohomology import Symbol, SymbolSum, class_trivial, simplify
 from .errors import HypothesisViolated, SingularInput
 from .fields import FieldTower, WpNormalForm, wp_reduce
@@ -24,46 +22,16 @@ def arf(f: QuadraticForm) -> WpNormalForm:
     return wp_reduce(arf_sum(f))
 
 
-@dataclass(frozen=True)
-class CliffordSymbolSum:
-    """Formal sum of quaternion-type symbols [a_i, b_i)."""
-
-    symbols: tuple[tuple, ...]    # pairs (a, b)
-
-    def to_symbol_sum(self) -> SymbolSum:
-        return SymbolSum(
-            2, tuple(Symbol(2, a, (b,)) for a, b in self.symbols if not b.is_zero())
-        )
-
-    @classmethod
-    def from_symbol_sum(cls, s: SymbolSum) -> CliffordSymbolSum:
-        if s.degree != 2:
-            raise ValueError("Clifford classes are degree-2 sums")
-        return cls(tuple((sym.coefficient, sym.slots[0]) for sym in s.symbols))
-
-    def __add__(self, other: CliffordSymbolSum) -> CliffordSymbolSum:
-        return CliffordSymbolSum(self.symbols + other.symbols)
-
-    def is_empty(self) -> bool:
-        return not self.symbols
-
-    def __str__(self):
-        return str(self.to_symbol_sum())
-
-    __repr__ = __str__
-
-
-def clifford(f: QuadraticForm) -> CliffordSymbolSum:
-    """Clifford class as a simplified sum of symbols [a_i, b_i)."""
+def clifford(f: QuadraticForm) -> SymbolSum:
+    """Clifford class as a simplified degree-2 sum of symbols [a_i, b_i)."""
     if not f.is_nonsingular():
         raise SingularInput("Clifford invariant needs a nonsingular form")
-    raw = SymbolSum(2, tuple(Symbol(2, a, (b,)) for b, a in f.pairs))
-    return CliffordSymbolSum.from_symbol_sum(simplify(raw))
+    return simplify(SymbolSum(2, tuple(Symbol(2, a, (b,)) for b, a in f.pairs)))
 
 
-def clifford_trivial(c: CliffordSymbolSum):
+def clifford_trivial(c: SymbolSum):
     """True / False / None for the Brauer class of the sum."""
-    return class_trivial(c.to_symbol_sum())
+    return class_trivial(c)
 
 
 def e_map(p: QuadraticPfister) -> Symbol:

@@ -211,9 +211,15 @@ def inseparably_linked(
 ) -> InsepLinkageReport:
     """Common bilinear k-fold factor: direct search, with the vanishing
     shortcut (separable (n-1)-linkage upgrades when the degree-(n+1)
-    subgroup is zero)."""
+    subgroup is zero).  A common factor leaves each form a quadratic
+    complement of fold at least 1, so 0 <= k <= min(folds) - 1."""
     tw = p.tower
     n = p.fold
+    if not 0 <= k <= min(n, q.fold) - 1:
+        raise HypothesisViolated(
+            f"a common bilinear factor of a {n}-fold and a {q.fold}-fold has fold"
+            f" 0 to {min(n, q.fold) - 1}, not {k}"
+        )
     if p == q and len(p.bilinear_slots) >= k:
         common = BilinearPfister(p.bilinear_slots[:k])
         complement = QuadraticPfister(p.bilinear_slots[k:], p.last_slot)
@@ -535,8 +541,7 @@ def pfister_multiple_check(f: QuadraticForm, pi: QuadraticPfister, c: FieldEleme
 def _merge_class_to_pfister(f: QuadraticForm, n: int, budget: int) -> QuadraticPfister:
     """One fold-n form representing the degree-n class of f."""
     if n == 2:
-        target = clifford(f).to_symbol_sum()
-        target = simplify(target)
+        target = simplify(clifford(f))
         if target.is_empty():
             tw = f.tower
             return QuadraticPfister((tw.one(),), tw.zero())

@@ -60,6 +60,8 @@ class DecompositionProof:
 def splitting_slots(f: QuadraticForm, n: int):
     """First l = m + 1 - 2^(n-1) coefficients of a normalized dim-2m form,
     with the proof object for hyperbolicity over the associated extension."""
+    if n < 1:
+        raise HypothesisViolated(f"splitting slots are defined for degree n >= 1, not {n}")
     if not is_normalized(f):
         raise NotNormalized("apply normalize_presentation first")
     m = len(f.pairs)
@@ -192,7 +194,7 @@ def class_decompose(f: QuadraticForm, n: int, budget: int = 100000) -> SymbolSum
     if kernel.dim == 0:
         return zero_sum(n)
     if n == 2:
-        target = clifford(f).to_symbol_sum()
+        target = clifford(f)
         out = _decompose_degree_two(kernel, budget)
         check = class_trivial(out + target)
         if check is not True:
@@ -218,7 +220,7 @@ def _decompose_degree_two(kernel: QuadraticForm, budget: int) -> SymbolSum:
         return simplify(SymbolSum(2, (sym,)))
     nf = normalize_presentation(kernel).form
     slots, _proof = splitting_slots(nf, 2)
-    target = clifford(nf).to_symbol_sum()
+    target = clifford(nf)
     guided = [a for _, a in nf.pairs] + [wp_reduce(a).reduced for _, a in nf.pairs]
     omegas = wedge_decompose(target, slots, budget, extra_pool=guided)
     return simplify(wedge_with(omegas, slots))

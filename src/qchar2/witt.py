@@ -9,22 +9,27 @@ Strategy by level:
   further basis vector e_3 is isotropic: the pair represents q(e_3),
   which gives an explicit witness.
 
-* level j: b-slots are stripped to t^e * unit (e in {0,1}) by exact
-  square scalings, a-slots get the exact part of their Artin-Schreier
-  reduction.  A form whose a-slots all end up with nonnegative valuation
-  is *tame*: it splits as f1 + t*f2 and is anisotropic iff both residue
-  forms are (the equal-characteristic Springer decomposition of the
-  complete Laurent step).  A *wild* pair alone is certified anisotropic
-  by its irreducible negative part; wild mixtures degrade to bounded
-  search and may come back Undecided.
+* level j: b-slots and quasilinear entries are stripped to t^e * unit
+  (e in {0,1}) by exact square scalings, a-slots get the exact part of
+  their Artin-Schreier reduction.  A form whose a-slots all end up with
+  nonnegative valuation is *tame*: nonsingular or not, it splits as
+  f1 + t*f2, is anisotropic when both residue forms are, and is isotropic
+  when one has a smooth zero, which every zero of a nonsingular residue
+  form is (the equal-characteristic Springer decomposition of the
+  complete Laurent step, one `_springer_step` for every tame form).  A
+  zero of a residue form on quasilinear coordinates alone need not lift,
+  and leaves the bounded search.  A *wild* pair alone is certified
+  anisotropic by its irreducible negative part; wild mixtures degrade to
+  bounded search and may come back Undecided.
 
 Isotropy over the completion often has no zero among rational
 representatives.  Verdicts then carry a certificate instead of an exact
 witness: either a Hensel pair (v, u) with
 val(q(v)) + val(q(u)) > 2 val(B(v,u)), which forces an exact zero of the
 complete field on the line v + lambda*u, or a recursive residue-lift
-record whose leaves are exact.  `verify_certificate` re-checks either
-kind independently of the decision path.
+record of a smooth residue zero whose leaves are exact.
+`verify_certificate` re-checks either kind from the form alone, without
+calling the decider.
 
 The bounded searches keep their values denominator-free: one nonzero
 polynomial S per search scales every q(v), so sums and products there
@@ -285,6 +290,15 @@ def _pair_strs(pairs):
     return [[str(b), str(a)] for b, a in pairs]
 
 
+def _split_record(g: QuadraticForm, with_quasilinear: bool, prefix: str = "") -> dict:
+    """The residue form g as a certificate stores it: its pairs, and its
+    quasilinear entries when the split form has any."""
+    record = {f"{prefix}pairs": _pair_strs(g.pairs)}
+    if with_quasilinear:
+        record[f"{prefix}quasilinear"] = _vec_str(g.quasilinear)
+    return record
+
+
 # -- the decider -------------------------------------------------------------------
 
 
@@ -297,22 +311,16 @@ def isotropy(f: QuadraticForm, budget: int = DEFAULT_SEARCH_BUDGET) -> IsotropyV
     tw = f.tower
     if f.dim == 0:
         return IsotropyVerdict("anisotropic", None, {"rule": "empty"})
-    ns = f.nonsingular_part()
-
-    ns_verdict = None
-    if ns.dim:
-        ns_verdict = _isotropy_nonsingular(ns, budget)
-        if ns_verdict.is_isotropic:
-            return _embed_verdict(f, ns_verdict, 0)
-    ql_verdict = None
-    if f.quasilinear:
-        ql_verdict = _isotropy_quasilinear(tw, f.quasilinear)
-        if ql_verdict.is_isotropic:
-            return _embed_verdict(f, ql_verdict, 2 * len(f.pairs))
     if not f.quasilinear:
-        return ns_verdict
-    if not ns.dim:
-        return ql_verdict
+        return _isotropy_nonsingular(f, budget)
+    if not f.pairs:
+        return _isotropy_quasilinear(tw, f.quasilinear)
+    ns_verdict = _isotropy_nonsingular(f.nonsingular_part(), budget)
+    if ns_verdict.is_isotropic:
+        return _embed_verdict(f, ns_verdict, 0)
+    ql_verdict = _isotropy_quasilinear(tw, f.quasilinear)
+    if ql_verdict.is_isotropic:
+        return _embed_verdict(f, ql_verdict, 2 * len(f.pairs))
     if not ns_verdict.decided:
         return ns_verdict
     return _isotropy_mixed(f, budget)
@@ -402,34 +410,30 @@ def _isotropy_nonsingular(f: QuadraticForm, budget: int) -> IsotropyVerdict:
             return IsotropyVerdict("anisotropic", None, cert)
         return _searched(f, budget, {"reason": "wild mixture", "wild_pairs": wild})
 
-    (unit_coords, unit_form), (t_coords, t_form) = _springer_split(tw, pairs, (), level)
-    certs = {}
-    for coords, res_form, part in ((unit_coords, unit_form, "unit"), (t_coords, t_form, "t")):
-        if res_form.dim == 0:
-            certs[part] = {"rule": "empty"}
-            continue
-        sub = _isotropy_nonsingular(res_form, budget)
+    return _springer_step(f, pairs, level, budget)
+
+
+def _springer_step(f: QuadraticForm, pairs, level: int, budget: int) -> IsotropyVerdict:
+    """Decide a tame f at `level` from its normalized `pairs` and its
+    quasilinear entries stripped of even powers: f is anisotropic when both
+    residue forms of the Springer split are.
+
+    An isotropic residue form becomes a verdict on f through
+    `_lift_residue_isotropy`; an Undecided one leaves f Undecided.
+    """
+    ql = tuple(strip_even_power(c, level) for c in f.quasilinear)
+    records = {}
+    for (coords, g), part in zip(_springer_split(f.tower, pairs, ql, level), ("unit", "t")):
+        sub = isotropy(g, budget)
         if sub.is_isotropic:
-            lifted = _lift_residue_isotropy(f, sub, res_form, coords, level, part)
-            if lifted is not None:
-                return lifted
-            return IsotropyVerdict(
-                "undecided", None, None,
-                {"reason": f"{part} residue isotropy did not lift", "level": level},
-            )
+            return _lift_residue_isotropy(f, sub, g, coords, level, part, budget)
         if not sub.decided:
             return IsotropyVerdict(
                 "undecided", None, None,
                 {"reason": f"{part} residue undecided", "level": level},
             )
-        certs[part] = sub.certificate
-    cert = {
-        "rule": "springer",
-        "level": level,
-        "unit_part": {"pairs": _pair_strs(unit_form.pairs), "certificate": certs["unit"]},
-        "t_part": {"pairs": _pair_strs(t_form.pairs), "certificate": certs["t"]},
-    }
-    return IsotropyVerdict("anisotropic", None, cert)
+        records[f"{part}_part"] = {**_split_record(g, bool(ql)), "certificate": sub.certificate}
+    return IsotropyVerdict("anisotropic", None, {"rule": "springer", "level": level, **records})
 
 
 def _lift_witness(f: QuadraticForm, coords, w) -> IsotropyVerdict | None:
@@ -444,22 +448,30 @@ def _lift_witness(f: QuadraticForm, coords, w) -> IsotropyVerdict | None:
     return _hensel_scan(f, v, f.evaluate(v), _polar_row(f, v), _basis(f))
 
 
-def _lift_residue_isotropy(f, sub, res_form, coords, level, part):
-    """Turn a residue-form isotropy into a verdict on f.
+def _lift_residue_isotropy(f, sub, g, coords, level, part, budget):
+    """Turn an isotropy of the residue form g into a verdict on f.
 
-    With an exact residue witness the smooth point lifts: we verify a
-    concrete Hensel pair on f.  Certificate-only sub-verdicts become a
-    recursive residue-lift record (the residue zero exists over the
-    completed residue field; the pair form is nonsingular there, so the
-    point is smooth and lifts).
+    An exact residue zero is first tried as a concrete zero or Hensel pair
+    on f.  Otherwise a smooth residue zero, one that only a certificate
+    records or one with a nonzero pair coordinate, becomes a recursive
+    residue-lift record: B(w, .) != 0 there, so the zero lifts to the
+    completion by Hensel's lemma.  A zero on quasilinear coordinates alone
+    need not lift, and leaves only the search.
     """
     if sub.witness is not None:
-        return _lift_witness(f, coords, sub.witness)
+        lifted = _lift_witness(f, coords, sub.witness)
+        if lifted is not None:
+            return lifted
+        if not any(sub.witness[: 2 * len(g.pairs)]):
+            return _searched(
+                f, budget,
+                {"reason": "mixed residue isotropy without a liftable point", "part": part},
+            )
     cert = {
         "rule": "residue-lift",
         "level": level,
         "part": part,
-        "residue_pairs": _pair_strs(res_form.pairs),
+        **_split_record(g, bool(f.quasilinear), "residue_"),
         "inner": sub.certificate,
     }
     return IsotropyVerdict("isotropic", None, cert)
@@ -493,42 +505,13 @@ def _isotropy_finite(f: QuadraticForm) -> IsotropyVerdict:
 
 def _isotropy_mixed(f: QuadraticForm, budget: int) -> IsotropyVerdict:
     """Nonsingular and quasilinear parts both present and both anisotropic."""
-    tw = f.tower
     level = _form_level(f)
     if level == 0:
         return _isotropy_finite(f)
     pairs, wild = _normalize_pairs(f, level)
-    ql = tuple(strip_even_power(c, level) for c in f.quasilinear)
-    if not wild:
-        subs = []
-        for (coords, g), part in zip(_springer_split(tw, pairs, ql, level), ("unit", "t")):
-            if g.dim == 0:
-                subs.append(({"rule": "empty"}, part))
-                continue
-            sub = isotropy(g, budget)
-            if sub.is_isotropic:
-                found = _searched(
-                    f, budget,
-                    {"reason": "mixed residue isotropy without a liftable point", "part": part},
-                )
-                if found.decided or sub.witness is None:
-                    return found
-                # lift only through a zero with nonsingular support; a
-                # purely quasilinear residue zero does not lift
-                return _lift_witness(f, coords, sub.witness) or found
-            if not sub.decided:
-                return IsotropyVerdict(
-                    "undecided", None, None,
-                    {"reason": f"mixed {part} residue undecided", "budget": budget},
-                )
-            subs.append((sub.certificate, part))
-        cert = {
-            "rule": "springer-mixed",
-            "level": level,
-            "parts": {part: c for c, part in subs},
-        }
-        return IsotropyVerdict("anisotropic", None, cert)
-    return _searched(f, budget, {"reason": "wild mixed form"})
+    if wild:
+        return _searched(f, budget, {"reason": "wild mixed form"})
+    return _springer_step(f, pairs, level, budget)
 
 
 def _searched(f: QuadraticForm, budget: int, report: dict) -> IsotropyVerdict:
@@ -841,21 +824,39 @@ def _parsed(tw, strs, n):
 
 
 def _residue_forms(f: QuadraticForm, level) -> list | None:
-    """[("unit", f1), ("t", f2)], the Springer split of the nonsingular form
-    f at its own level, when `level` names that level and f is tame there;
-    else None."""
+    """[("unit", f1), ("t", f2)], the Springer split of f, its quasilinear
+    entries included, at its own level, when `level` names that level and f
+    is tame there; else None."""
     own = _form_level(f)
     if not own or level != own:
         return None
     pairs, wild = _normalize_pairs(f, own)
     if wild:
         return None
-    return [(part, g) for part, (_, g) in zip(("unit", "t"), _springer_split(f.tower, pairs, (), own))]
+    ql = tuple(strip_even_power(c, own) for c in f.quasilinear)
+    return [(part, g) for part, (_, g) in zip(("unit", "t"), _springer_split(f.tower, pairs, ql, own))]
+
+
+def _stores(record, g: QuadraticForm, with_quasilinear: bool, prefix: str = "") -> bool:
+    """Whether a certificate record stores the residue form g as the
+    decider writes it (`_split_record`)."""
+    return isinstance(record, dict) and all(
+        record.get(k) == x for k, x in _split_record(g, with_quasilinear, prefix).items()
+    )
+
+
+def _smooth_zero(g: QuadraticForm, inner) -> bool:
+    """Whether the zero of g that a verified inner certificate records is
+    smooth: an exact zero needs a nonzero pair coordinate, while a Hensel
+    pair or a residue lift always has B(w, .) != 0."""
+    if inner.get("rule") != "exact-zero":
+        return True
+    return any(_parsed(g.tower, inner.get("witness"), g.dim)[: 2 * len(g.pairs)])
 
 
 def _verify_cert(f: QuadraticForm, cert, kind: str) -> bool:
     """Each rule rebuilds its data from f and compares what the certificate
-    stores with it; the decider is re-run only for `springer-mixed`."""
+    stores with it; no rule calls the decider."""
     if not isinstance(cert, dict):
         return False
     tw = f.tower
@@ -868,11 +869,14 @@ def _verify_cert(f: QuadraticForm, cert, kind: str) -> bool:
             v, u = (_parsed(tw, cert.get(k), f.dim) for k in ("v", "u"))
             return v is not None and u is not None and hensel_pair_applies(f, v, u)
         if rule == "residue-lift":
-            # a zero of a residue form of f's nonsingular part lifts to f
-            parts = _residue_forms(f.nonsingular_part(), cert.get("level")) or ()
+            # a smooth zero of a residue form of f, or of f's nonsingular
+            # part when no entries are stored, lifts to f
+            with_ql = "residue_quasilinear" in cert
+            parts = _residue_forms(f if with_ql else f.nonsingular_part(), cert.get("level")) or ()
             g = next((g for part, g in parts if part == cert.get("part")), None)
-            return (g is not None and cert.get("residue_pairs") == _pair_strs(g.pairs)
-                    and _verify_cert(g, cert.get("inner"), kind))
+            inner = cert.get("inner")
+            return (g is not None and _stores(cert, g, with_ql, "residue_")
+                    and _verify_cert(g, inner, kind) and _smooth_zero(g, inner))
         return False
     # anisotropic side
     if rule == "empty":
@@ -880,9 +884,13 @@ def _verify_cert(f: QuadraticForm, cert, kind: str) -> bool:
     if rule == "ql-independent":
         return (not f.pairs and cert.get("entries") == _vec_str(f.quasilinear)
                 and square_dependence(tw, f.quasilinear) is None)
-    if rule == "springer-mixed":
-        return isotropy(f).is_anisotropic     # structural record: re-decide
-    # the other rules certify nonsingular forms, the first two a single pair
+    if rule == "springer":
+        parts = _residue_forms(f, cert.get("level"))
+        return parts is not None and all(
+            _stores(p, g, bool(f.quasilinear)) and _verify_cert(g, p.get("certificate"), kind)
+            for p, g in ((cert.get(f"{part}_part"), g) for part, g in parts)
+        )
+    # the other rules certify a single nonsingular pair
     if f.quasilinear:
         return False
     level, single = _form_level(f), len(f.pairs) == 1
@@ -892,11 +900,4 @@ def _verify_cert(f: QuadraticForm, cert, kind: str) -> bool:
     if rule == "wild-binary":
         a, wild = exact_tail_reduce(f.pairs[0][1], level) if single and level else (None, False)
         return wild and cert.get("level") == level and cert.get("a") == str(a)
-    if rule == "springer":
-        parts = _residue_forms(f, cert.get("level"))
-        return parts is not None and all(
-            isinstance(p, dict) and p.get("pairs") == _pair_strs(g.pairs)
-            and _verify_cert(g, p.get("certificate"), kind)
-            for p, g in ((cert.get(f"{part}_part"), g) for part, g in parts)
-        )
     return False

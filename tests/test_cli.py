@@ -279,10 +279,24 @@ class TestHypothesisViolations:
         # a negative budget is a usage error
         ["witt", "isotropy", "--field", "F2((t))", "--budget", "-5", "[1,1/t]+(1+t)*[1,1/t]"],
         ["verify", "oracle", "--samples", "3", "--budget", "-1"],
+        # a common factor of two 2-folds has fold 0 or 1
+        ["linkage", "check", "--field", "F2((t))", "--p", "<<t,1]]", "--q", "<<t+t^2,1]]",
+         "--k", "-1"],
+        ["linkage", "check", "--field", "F2((t))", "--p", "<<t,1]]", "--q", "<<t+t^2,1]]",
+         "--k", "2"],
+        # splitting slots start at degree 1
+        ["symlen", "split", "--field", "F2((t))", "[1,1]+[1,1]", "--n", "0"],
+        ["symlen", "split", "--field", "F2((t))", "[1,1]+[1,1]", "--n", "-1"],
     ])
     def test_exit_two_without_traceback(self, capsys, argv):
         assert main(argv) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_linkage_check_with_no_common_slot(self, capsys):
+        code, out = run(capsys, "linkage", "check", "--field", "F2((t))", "--p", "<<t,1]]",
+                        "--q", "<<t+t^2,1]]", "--k", "0", "--format", "json", "--no-meta")
+        assert code == 0
+        assert json.loads(out)["linked"] is True
 
 
 class TestRefutationCandidates:

@@ -131,3 +131,27 @@ def test_every_library_name_is_reached():
     # perfbench/tracing.py wraps `linalg.solve` by name for its traced run,
     # which fails to install without it; no library code calls it
     assert unreached_names() == ["linalg.solve"]
+
+
+def checked_rules():
+    """Every rule name that `witt._verify_cert` compares `rule` with."""
+    tree = ast.parse((SRC / "witt.py").read_text())
+    func = next(n for n in ast.walk(tree)
+                if isinstance(n, ast.FunctionDef) and n.name == "_verify_cert")
+    return {
+        n.comparators[0].value for n in ast.walk(func)
+        if isinstance(n, ast.Compare) and isinstance(n.left, ast.Name) and n.left.id == "rule"
+        and isinstance(n.ops[0], ast.Eq) and isinstance(n.comparators[0], ast.Constant)
+    }
+
+
+def documented_rules():
+    """The rule column of README's certificate table."""
+    readme = (SRC.parent.parent / "README.md").read_text()
+    rows = [line.split("|") for line in readme.splitlines()
+            if line.startswith(("| isotropic |", "| anisotropic |"))]
+    return {row[2].strip().strip("`") for row in rows}
+
+
+def test_readme_lists_the_checked_rules():
+    assert checked_rules() == documented_rules()

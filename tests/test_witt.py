@@ -347,6 +347,8 @@ class TestForgedCertificates:
         ("F2((t))", "[1,1]", ("a",), "1/t"),
         ("F2((t))", "[1,1/t]", ("a",), "1/t^3"),
         ("F2((t))", "<1,t>q", ("entries",), ["1", "1/t"]),
+        ("F2((t))", "((t+1)/t)*[1,1]+<1>q", ("unit_part", "quasilinear"), ["t"]),
+        ("F2^2((t))", "(((z+1)*t+1)/t)*[1,z]+<z*t>q", ("residue_quasilinear",), ["z+1"]),
     ])
     def test_stored_field_must_be_the_one_built_from_the_form(self, field, text, path, value):
         # the decider's own certificate with one stored field changed; the
@@ -372,6 +374,72 @@ class TestForgedCertificates:
 
         monkeypatch.setattr("qchar2.witt.isotropy", refuse)
         assert verify_certificate(f, v)
+
+    def test_quasilinear_residue_zero_is_not_a_lift(self):
+        # f is anisotropic: t1*(z+w)^2 + t1*t2*w^2 turns it into
+        # ([1,1] + <t1>q) + t2*<t1>q, both residues anisotropic.  The unit
+        # residue of its split, [1,1] + <t1,t1>q, has the zero (0,0,1,1) on
+        # quasilinear coordinates alone, where B vanishes, so it does not lift.
+        f = parse_form(F2TT, "[1,1]+<t1,t1*(1+t2)>q")
+        assert not isotropy(f).is_isotropic
+        forged = {"rule": "residue-lift", "level": 2, "part": "unit",
+                  "residue_pairs": [["1", "1"]], "residue_quasilinear": ["t1", "t1"],
+                  "inner": {"rule": "exact-zero", "witness": ["0", "0", "1", "1"]}}
+        assert not verify_certificate(f, IsotropyVerdict("isotropic", None, forged))
+        # every other part of the record holds: the residue form is the one
+        # the split builds, and the inner zero is a zero of it
+        g = QuadraticForm(F2TT, ((F2TT.one(), F2TT.one()),), (el(F2TT, "t1"),) * 2)
+        assert verify_certificate(g, IsotropyVerdict("isotropic", None, forged["inner"]))
+
+
+@pytest.mark.parametrize("text,rule,evaluations", [
+    ("[1,0]+[1,1]", "exact-zero", 1),
+    ("[1,t]", "hensel-pair", 2),
+])
+def test_isotropy_evaluates_each_witness_once(monkeypatch, text, rule, evaluations):
+    # an exact zero is evaluated once, a Hensel pair's v and u once each
+    f = parse_form(F2T, text)
+    calls = []
+    evaluate = QuadraticForm.evaluate
+
+    def counted(self, vector):
+        calls.append(vector)
+        return evaluate(self, vector)
+
+    monkeypatch.setattr(QuadraticForm, "evaluate", counted)
+    v = isotropy(f)
+    assert v.is_isotropic and v.certificate["rule"] == rule
+    assert len(calls) == evaluations
+
+
+def test_residue_zero_off_the_normalized_coordinates_lifts():
+    # both pairs go to the t part, whose residue [1,z]+[1,z] is hyperbolic;
+    # its zero, placed on f's coordinates without undoing the even-power
+    # strip of the first b-slot, is no zero of f, so the record is a lift
+    f = parse_form(parse_field("F2^2((t))"), "((z*t+1)/t)*[1,z]+t*[1,z]")
+    v = isotropy(f)
+    assert v.is_isotropic and v.certificate["rule"] == "residue-lift"
+    assert verify_certificate(f, v)
+
+
+def test_no_certificate_calls_the_decider(monkeypatch):
+    # every decided verdict on the pinned decider forms, and on the same
+    # kind of forms over F8((t)), checks with the decider switched off
+    cases = []
+    for i, tw in enumerate(DECIDER_TOWERS + [tower(3, ("t",))]):
+        rng = random.Random(3000 + i)
+        for _ in range(DECIDER_FORMS):
+            f = _decider_form(tw, rng)
+            cases += [(f, isotropy(f, budget)) for budget in DECIDER_BUDGETS]
+    decided = [(f, v) for f, v in cases if v.decided]
+    assert len(decided) > len(cases) // 2
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the checker called the decider")
+
+    monkeypatch.setattr("qchar2.witt.isotropy", refuse)
+    for f, v in decided:
+        assert verify_certificate(f, v), f
 
 
 @pytest.mark.parametrize("field,text", [
@@ -473,7 +541,7 @@ DECIDER_CHAINS = [
     ("F2^2((t))", "1", "t+(z+1)", "(z+1)/t", "(t^2+z)/t", "z+1"),
     ("F2((t1))((t2))", "t1/t2", "(1/t1)*t2+1", "(t2+(1/t1))/t2", "1/t2", "((1/t1)*t2+t1)/t2"),
 ]
-DECIDER_SHA256 = "c9abb71ad5db3ff23366bba617cbced6f1ea1b1dc066425a6b7466828c22a81c"
+DECIDER_SHA256 = "126fc4e4914934eaab3e13e310a65a779cf80829fd36459759a1aca9ee966728"
 
 
 def _decider_form(tw, rng):
