@@ -261,15 +261,14 @@ def _run_invariants(args):
     f = parse_form(tw, args.form)
     r = arf(f)
     c = clifford(f)
-    triv = clifford_trivial(c)
     payload = {
         "command": "invariants",
         "field": tw.descriptor(),
         "form": format_form(f),
         "arf": {"reduced": str(r.reduced), "trivial": r.is_in_wp},
-        "clifford": {"symbols": str(c), "trivial": triv},
+        "clifford": {"symbols": str(c), "trivial": clifford_trivial(c)},
     }
-    code = EXIT_OK if triv is not None else EXIT_UNDECIDED
+    code = EXIT_OK
     if args.n is not None:
         member = in_iqn(f, args.n)
         payload["membership"] = {"degree": args.n, "member": member}
@@ -289,9 +288,7 @@ def _run_symbol(args):
     if args.op == "simplify":
         payload["result"] = format_symbol_sum(simplify(s))
     elif args.op == "trivial":
-        got = class_trivial(s)
-        payload["trivial"] = got
-        code = EXIT_OK if got is not None else EXIT_UNDECIDED
+        payload["trivial"] = class_trivial(s)
     elif args.op == "rewrite":
         out = basis_rewrite(to_differential(s), tw)
         payload["result"] = format_symbol_sum(out)

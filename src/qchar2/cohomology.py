@@ -5,15 +5,16 @@ coefficient plus a slot tuple; a class of the degree-n group is a formal
 sum of symbols.  Classes never get a coset normal form: equality of
 classes is always asked as `class_trivial(difference)`.
 
-Triviality is decided by a residue recursion.  At each Laurent level a
-tame sum splits into an unramified part (all slots units) and a ramified
-part (one dt/t factor, degree drops by one), both living one level down;
-the class is trivial iff both parts are.  At the perfect base field every
-degree >= 2 class is trivial and degree-1 classes are Artin-Schreier
-membership.  Wild sums (irreducible negative-valuation coefficients)
-return Undecided (None), except that a single symbol can also be decided
-through the hyperbolicity of its Pfister form, which is an independent
-route used by the cross-check tests.
+Triviality is decided exactly by a residue recursion along Kato's
+filtration (K. Kato, LNM 967, 1982).  At each Laurent level a tame sum
+splits into an unramified part (all slots units) and a ramified part (one
+dt/t factor, degree drops by one), both living one level down; the class
+is trivial iff both parts are.  A wild sum (a coefficient with an
+irreducible pole) first has its poles lowered step by step until it is
+tame, or until a step shows the class nontrivial.  At the perfect base
+field every degree >= 2 class is trivial and degree-1 classes are
+Artin-Schreier membership, which is the trace.  At height 1 in degree 2
+this is Schmid's residue trace.  No step searches, so no budget applies.
 """
 
 from __future__ import annotations
@@ -22,15 +23,17 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .errors import UndecidableClass, UndecidableInstance, WildSymbol, ZeroInput
+from .errors import WildSymbol, ZeroInput
 from .fields import (
     FieldElement,
     FieldTower,
     exact_tail_reduce,
+    laurent_coefficients,
     strip_even_power,
     wp_reduce,
 )
 from .forms import QuadraticPfister
+from .linalg import square_coordinates
 
 
 @dataclass(frozen=True)
@@ -203,30 +206,24 @@ def _merge_slotwise(x: Symbol, y: Symbol) -> tuple | None:
 # -- differential expansion -----------------------------------------------------------
 
 
-def to_differential(s: SymbolSum) -> DifferentialForm:
-    """Expand through logarithmic-derivative coordinates; degree drops by 1."""
-    if not s.symbols:
-        return DifferentialForm(s.degree - 1, ())
-    tw = s.symbols[0].coefficient.tower
-    m = tw.height
-    coords: dict = {}
+def _expansion_terms(s: SymbolSum):
+    """(J, term) pairs whose terms sum, per index set J, to the dt_J
+    coordinates of s: one pair per symbol and choice of a distinct basis
+    differential for each slot."""
+    terms = []
     for sym in s.symbols:
         if sym.is_zero():
             continue
+        tw = sym.coefficient.tower
         rows = [b.dlog_coords() for b in sym.slots]
 
         def expand(j, used, acc):
             if acc.is_zero():
                 return
             if j == len(rows):
-                key = frozenset(used)
-                total = coords.get(key, tw.zero()) + sym.coefficient * acc
-                if total.is_zero():
-                    coords.pop(key, None)
-                else:
-                    coords[key] = total
+                terms.append((frozenset(used), sym.coefficient * acc))
                 return
-            for i in range(m):
+            for i in range(tw.height):
                 if i + 1 in used:
                     continue
                 c = rows[j][i]
@@ -234,7 +231,24 @@ def to_differential(s: SymbolSum) -> DifferentialForm:
                     expand(j + 1, used + (i + 1,), acc * c)
 
         expand(0, (), tw.one())
+    return terms
+
+
+def to_differential(s: SymbolSum) -> DifferentialForm:
+    """Expand through logarithmic-derivative coordinates; degree drops by 1."""
+    coords: dict = {}
+    for key, term in _expansion_terms(s):
+        _accumulate(coords, key, term)
     return DifferentialForm.from_dict(s.degree - 1, coords)
+
+
+def _accumulate(coords: dict, key, x: FieldElement):
+    """coords[key] += x, dropping the key when the sum vanishes."""
+    total = coords[key] + x if key in coords else x
+    if total.is_zero():
+        coords.pop(key, None)
+    else:
+        coords[key] = total
 
 
 def basis_rewrite(w: DifferentialForm, tw: FieldTower) -> SymbolSum:
@@ -305,12 +319,12 @@ def symbol_residue(s: SymbolSum, level: int) -> tuple[SymbolSum, SymbolSum]:
 # -- triviality ------------------------------------------------------------------------
 
 
-def class_trivial(s: SymbolSum):
-    """True / False / None(undecided) for the class of s.
+def class_trivial(s: SymbolSum) -> bool:
+    """Whether the class of s is trivial; exact on every supported tower.
 
-    Residue recursion on tame sums; single wild symbols fall back to the
-    Pfister route (a symbol is trivial iff its Pfister form is hyperbolic,
-    by the minimal-dimension property of anisotropic Pfister forms).
+    Residue recursion on tame sums; a wild sum has its poles at the top
+    level lowered first (`_lower_poles`), which may already show the class
+    nontrivial.
     """
     s = simplify(s)
     if not s.symbols:
@@ -329,25 +343,84 @@ def class_trivial(s: SymbolSum):
     try:
         unram, ram = symbol_residue(s, level)
     except WildSymbol:
-        return _single_symbol_route(s)
+        tame = _lower_poles(s, level)
+        if tame is None:
+            return False
+        unram, ram = symbol_residue(tame, level)
     r_unram = class_trivial(unram)
     r_ram = class_trivial(ram)
-    if r_unram is False or r_ram is False:
-        return False
-    if r_unram is True and r_ram is True:
-        return True
-    return None
+    return r_unram and r_ram
 
 
-def _single_symbol_route(s: SymbolSum):
-    from .witt import is_hyperbolic
+def _lower_poles(s: SymbolSum, level: int) -> SymbolSum | None:
+    """A tame sum in the class of s, or None when the class is nontrivial.
 
-    if len(s.symbols) != 1:
-        return None
-    try:
-        return is_hyperbolic(symbol_to_pfister(s.symbols[0]).expand())
-    except UndecidableInstance:
-        return None
+    Write s as sum_J a_J dlog t_J with t = t_level.  Only the Laurent terms
+    of a_J up to t^0 matter (a positive-valuation tail lies in wp), so each
+    a_J is kept as its coefficients c_{J,e}, e <= 0, one level down.  Let
+    t^-N sum_J c_J dlog t_J be the leading part; Kato's graded pieces
+    decide it:
+    * N odd: d(t^-N c dlog t_I) = t^-N (c dlog t + dc) ^ dlog t_I trades
+      every dlog t factor for dc; the rewritten part eta is a form one
+      level down, and eta != 0 makes the class nontrivial, while eta = 0
+      leaves an exact leading part, which drops;
+    * N = 2M even: a leading part that is not closed makes the class
+      nontrivial; a closed one is C^-1(theta) plus an exact form (Cartier),
+      and C^-1(theta) = theta + wp(theta), so it is replaced by
+      theta = t^-M sum_J u_J dlog t_J, with u_J the S = {} square
+      coordinate of c_J.
+    Each step lowers N; what is left is the t^0 part, a tame sum.
+    """
+    tw = s.symbols[0].coefficient.tower
+    laurent: dict = {}     # J -> {e: c_{J,e}}
+    for key, term in _expansion_terms(s):
+        # dlog t_J = t_J^-1 dt_J: scale by the t_j below t, shift for t
+        shift = 1 if level in key else 0
+        low = term.valuation(level) if term.level == level else 0
+        if low + shift > 0:
+            continue
+        scale = tw.one()
+        for j in key - {level}:
+            scale = scale * tw.gen(j)
+        row = laurent.setdefault(key, {})
+        for e, c in enumerate(laurent_coefficients(term, level, low, 1 - shift - low), low + shift):
+            if not c.is_zero():
+                _accumulate(row, e, c * scale)
+    while True:
+        order = -min((e for row in laurent.values() for e in row), default=0)
+        if order <= 0:
+            break
+        lead = {key: row.pop(-order) for key, row in laurent.items() if -order in row}
+        form: dict = {}
+        for key, c in lead.items():
+            if order % 2 == 0:
+                _add_differential(form, key, c, level)
+            elif level in key:
+                _add_differential(form, key - {level}, c, level)
+            else:
+                _accumulate(form, key, c)
+        if form:
+            return None
+        if order % 2 == 0:
+            for key, c in lead.items():
+                u = square_coordinates(c).get(frozenset())
+                if u is not None:
+                    _accumulate(laurent[key], -order // 2, u)
+    return SymbolSum(s.degree, tuple(
+        Symbol(s.degree, row[0], tuple(tw.gen(j) for j in sorted(key)))
+        for key, row in laurent.items() if 0 in row
+    ))
+
+
+def _add_differential(form: dict, key: frozenset, c: FieldElement, level: int):
+    """form += dc ^ dlog t_key, with dc = sum_j t_j (dc/dt_j) dlog t_j over
+    the variables below `level`."""
+    tw = c.tower
+    for j in range(1, level):
+        if j not in key:
+            x = c.derivative(j)
+            if not x.is_zero():
+                _accumulate(form, key | {j}, tw.gen(j) * x)
 
 
 def symbol_to_pfister(sym: Symbol) -> QuadraticPfister:
@@ -402,10 +475,7 @@ def symbol_length(s: SymbolSum, budget: int = 4096) -> LengthResult:
     """Exact symbol length when certifiable (0, 1, or the basis-coordinate
     count when nothing shorter exists in the searched pool); otherwise an
     upper bound flagged inexact."""
-    verdict = class_trivial(s)
-    if verdict is None:
-        raise UndecidableClass("cannot certify triviality of the input class")
-    if verdict:
+    if class_trivial(s):
         return LengthResult(0, True, zero_sum(s.degree))
     simple = simplify(s)
     tw = simple.symbols[0].coefficient.tower

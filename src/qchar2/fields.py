@@ -933,20 +933,23 @@ def strip_even_power(b: FieldElement, level: int) -> FieldElement:
     return b
 
 
-def _series_coeffs(x: FieldElement, level: int, n: int) -> list[FieldElement]:
-    """First n Laurent coefficients of x at t_level (x must be regular)."""
+def laurent_coefficients(x: FieldElement, level: int, low: int, n: int) -> list[FieldElement]:
+    """The n Laurent coefficients of x at t_level from t_level^low on; low
+    must not exceed the valuation of x.  Read off the fraction's own
+    coefficients, with no arithmetic at t_level."""
     tw = x.tower
     zero = tw.zero()
     if x.is_zero():
         return [zero] * n
     if x.level < level:
-        return [x] + [zero] * (n - 1)
+        return [x if low + i == 0 else zero for i in range(n)]
     ring = tw._rings[level]
     vd = ring.val(x.den)
-    if ring.val(x.num) < vd:
-        raise NegativeValuation("series expansion at a pole")
+    if ring.val(x.num) - vd < low:
+        raise NegativeValuation("series expansion below the valuation")
     num, den = x.coefficients()
-    num = num[vd:]
+    shift = low + vd
+    num = num[shift:] if shift >= 0 else (zero,) * -shift + num
     den = den[vd:]     # den[0] is 1 in canonical form
     out = []
     rem = list(num) + [zero] * n
@@ -965,7 +968,7 @@ def _wp_series_witness(plus: FieldElement, level: int) -> FieldElement:
     # iteration y <- plus + y^2 contract
     tw = plus.tower
     n = DEFAULT_WP_PRECISION + 1
-    target = _series_coeffs(plus, level, n)
+    target = laurent_coefficients(plus, level, 0, n)
     y = [tw.zero()] * n
     for _ in range(DEFAULT_WP_PRECISION.bit_length() + 1):
         sq = [tw.zero()] * n

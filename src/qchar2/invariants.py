@@ -2,10 +2,10 @@
 membership in the filtration by Pfister subgroups.
 
 The Clifford class of b_1[1,a_1] + ... + b_p[1,a_p] is the formal sum of
-the degree-2 symbols [a_i, b_i); triviality of such sums is delegated to
-the degree-2 residue machinery, with the single-symbol Pfister route as
-an independent path.  Membership in the degree-n subgroup is decided by
-the invariants for n <= 3 and by the vanishing table beyond that.
+the degree-2 symbols [a_i, b_i); triviality of such sums is decided
+exactly by `cohomology.class_trivial`, wild sums included.  Membership in
+the degree-n subgroup is decided by the invariants for n <= 3 and by the
+vanishing table beyond that.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ def clifford(f: QuadraticForm) -> SymbolSum:
     return simplify(SymbolSum(2, tuple(Symbol(2, a, (b,)) for b, a in f.pairs)))
 
 
-def clifford_trivial(c: SymbolSum):
-    """True / False / None for the Brauer class of the sum."""
+def clifford_trivial(c: SymbolSum) -> bool:
+    """Whether the Brauer class of the sum is trivial."""
     return class_trivial(c)
 
 
@@ -54,11 +54,13 @@ def iqn_vanishes(tw: FieldTower, n: int) -> bool:
 
 
 def in_iqn(f: QuadraticForm, n: int):
-    """Membership of f in the degree-n subgroup: True / False / None.
+    """Membership of f in the degree-n subgroup: True / False, or None
+    for n >= 4.
 
     n=1 is all even-dimensional nonsingular classes; n=2 is Arf
-    triviality; n=3 adds Clifford triviality; beyond that the vanishing
-    table reduces membership to hyperbolicity where it applies.
+    triviality; n=3 adds Clifford triviality, which is always decided;
+    beyond that the vanishing table reduces membership to hyperbolicity
+    where it applies, and None is returned where it does not.
     """
     if not f.is_nonsingular():
         raise SingularInput("membership test needs a nonsingular form")

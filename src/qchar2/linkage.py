@@ -59,10 +59,8 @@ def pfisters_isometric(p: QuadraticPfister, q: QuadraticPfister):
     tw = p.tower
     diff = SymbolSum(n, (e_map(p), e_map(q)))
     t = class_trivial(diff)
-    if iqn_vanishes(tw, n + 1) and t is not None:
+    if iqn_vanishes(tw, n + 1) or t is False:
         return t
-    if t is False:
-        return False
     try:
         return witt_equivalent(p.expand(), q.expand())
     except UndecidableInstance:

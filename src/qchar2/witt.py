@@ -328,16 +328,16 @@ def isotropy(f: QuadraticForm, budget: int = DEFAULT_SEARCH_BUDGET) -> IsotropyV
 
 def _embed_verdict(f, verdict, offset):
     """An isotropic verdict on the subform of f from coordinate `offset` on,
-    as a verdict on f: zero padding changes no q(v), q(u) or B(v, u)."""
+    as a verdict on f: zero padding changes no q(v), q(u) or B(v, u), so
+    the subform's checked values carry over without evaluating again."""
     tw = f.tower
     if verdict.witness is not None:
-        return _iso_exact(f, _pad(tw, verdict.witness, f.dim, offset))
+        v = _pad(tw, verdict.witness, f.dim, offset)
+        return IsotropyVerdict("isotropic", v, {"rule": "exact-zero", "witness": _vec_str(v)})
     if verdict.hensel_data is not None:
         v, u = (_pad(tw, w, f.dim, offset) for w in verdict.hensel_data)
-        got = _iso_from_pair(f, v, u)
-        if got is None:
-            raise RefutationCandidate(f"a Hensel pair of a subform of {f} fails once padded")
-        return got
+        cert = {**verdict.certificate, "v": _vec_str(v), "u": _vec_str(u)}
+        return IsotropyVerdict("isotropic", None, cert, hensel_data=(v, u))
     # a residue-lift is checked on the residue forms of f's nonsingular
     # part, which is the subform's
     return verdict

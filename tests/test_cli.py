@@ -66,6 +66,21 @@ class TestVerbs:
         assert code == 0
         assert json.loads(out)["trivial"] is False
 
+    def test_wild_symbol_trivial(self, capsys):
+        # the residue of (1/t^3) dt/(1+t) is 1, whose trace is 1 (Schmid)
+        code, out = run(capsys, "symbol", "trivial", "--field", "F2((t))",
+                        "(1/t^3) d(1+t)/(1+t)")
+        assert code == 0
+        assert "trivial: False" in out.splitlines()
+
+    def test_wild_clifford_class(self, capsys):
+        # the class (1/t^5) d(1/(t+1))/(1/(t+1)) has residue 1 as well
+        code, out = run(capsys, "invariants", "--field", "F2((t))", "(1/(t+1))*[1,1/t^5]")
+        assert code == 0
+        lines = out.splitlines()
+        clifford = lines.index("clifford:")
+        assert "  trivial: False" in lines[clifford:]
+
     def test_symbol_rewrite_roundtrip(self, capsys):
         code, out = run(capsys, "symbol", "rewrite",
                         "--field", "F2((t1))((t2))",

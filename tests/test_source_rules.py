@@ -92,6 +92,25 @@ def test_no_local_import_of_a_top_level_source():
     assert local_top_level_imports() == []
 
 
+def imported_modules(stem):
+    """Every library module that `stem` imports from, at module level or
+    inside a function, as its dotted source."""
+    tree = ast.parse((SRC / f"{stem}.py").read_text())
+    found = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.ImportFrom) and _library_source(n) is not None:
+            found.add(_library_source(n))
+        elif isinstance(n, ast.Import):
+            found |= {a.name for a in n.names if a.name.startswith("qchar2")}
+    return found
+
+
+def test_class_triviality_imports_no_decider():
+    # class triviality is decided by residues alone: no form decider and no
+    # search may sit behind it
+    assert not {m for m in imported_modules("cohomology") if m.split(".")[-1] == "witt"}
+
+
 def _identifiers(nodes):
     """Every bare name and attribute name that the nodes mention."""
     return {

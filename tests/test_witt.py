@@ -395,9 +395,13 @@ class TestForgedCertificates:
 @pytest.mark.parametrize("text,rule,evaluations", [
     ("[1,0]+[1,1]", "exact-zero", 1),
     ("[1,t]", "hensel-pair", 2),
+    ("[1,0]+[1,1]+<t>q", "exact-zero", 1),
+    ("[1,t]+<t>q", "hensel-pair", 2),
 ])
 def test_isotropy_evaluates_each_witness_once(monkeypatch, text, rule, evaluations):
-    # an exact zero is evaluated once, a Hensel pair's v and u once each
+    # an exact zero is evaluated once, a Hensel pair's v and u once each;
+    # beside a quasilinear entry, the nonsingular part's checked verdict is
+    # padded without evaluating it again
     f = parse_form(F2T, text)
     calls = []
     evaluate = QuadraticForm.evaluate
