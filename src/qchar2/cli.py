@@ -25,7 +25,7 @@ from .errors import (
     UndecidableInstance,
 )
 from .forms import QuadraticPfister, normalize_presentation
-from .invariants import arf, clifford, clifford_trivial, e_map, in_iqn
+from .invariants import arf, clifford, clifford_trivial, e_map, in_iqn, pfister_hyperbolic
 from .parsing import (
     format_form,
     format_symbol_sum,
@@ -36,7 +36,7 @@ from .parsing import (
 )
 from .suites import SUITES, run_suite, suite_takes_budget
 from .symlen import class_decompose, splitting_slots, symbol_length_bound, two_rank_bound
-from .witt import is_hyperbolic, isotropy, witt_decompose, witt_equivalent
+from .witt import isotropy, witt_decompose, witt_equivalent
 
 EXIT_OK = 0
 EXIT_UNDECIDED = 1
@@ -133,10 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None,      # `check` only
                    help="common fold (default: fold of p minus 1)")
 
-    p = leaf(sub, "u-invariant", help="u-invariant estimate with evidence")
+    p = leaf(sub, "u-invariant", help="u-invariant of the tower, with its checked witness")
     p.add_argument("--n", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=_count, default=200)
 
     p = leaf(sub, "verify", field=False, help="run a verification suite")
     p.add_argument("suite", choices=sorted(SUITES) + ["all"])
@@ -247,7 +245,7 @@ def _run_pfister(args):
     if args.op == "expand":
         payload["expansion"] = format_form(val.expand())
     elif args.op == "hyperbolic":
-        payload["hyperbolic"] = is_hyperbolic(val.expand())
+        payload["hyperbolic"] = pfister_hyperbolic(val)
     else:
         from .cohomology import SymbolSum
 
@@ -383,7 +381,7 @@ def _run_u_invariant(args):
     from .linkage import u_invariant_estimate
 
     tw = parse_field(args.field)
-    est = u_invariant_estimate(tw, args.n, samples=args.samples, seed=args.seed)
+    est = u_invariant_estimate(tw, args.n)
     payload = {
         "command": "u-invariant",
         "field": tw.descriptor(),
@@ -391,7 +389,6 @@ def _run_u_invariant(args):
         "value": est.value,
         "witness": str(est.witness) if est.witness else None,
         "provenance": est.provenance,
-        "evidence": est.evidence,
     }
     return _report(args, payload, EXIT_OK)
 

@@ -493,7 +493,7 @@ def symbol_length(s: SymbolSum, budget: int = 4096) -> LengthResult:
         tried += 1
         if tried > budget:
             break
-        if class_trivial(simple + cand) is True:
+        if class_trivial(simple + cand):
             return LengthResult(1, True, SymbolSum(s.degree, (cand,)))
     best = simplify(canonical)
     return LengthResult(min(bound, len(best.symbols)) or bound, False, best)

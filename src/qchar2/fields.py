@@ -874,17 +874,10 @@ def wp_reduce(x: FieldElement) -> WpNormalForm:
     cur = x
     while cur.level > 0:
         lev = cur.level
-        while not cur.is_zero() and cur.level == lev and cur.valuation(lev) < 0:
-            v = cur.valuation(lev)
-            if v % 2 != 0:
-                return WpNormalForm(cur, False, correction, exact)
-            lead = (cur * tw.monomial(lev, -v)).residue(lev)
-            root = lead.sqrt()
-            if root is None:
-                return WpNormalForm(cur, False, correction, exact)
-            step = root * tw.monomial(lev, v // 2)
-            correction = correction + step
-            cur = cur + wp(step)
+        cur, steps, wild = _lower_even_poles(cur, lev)
+        correction = sum(steps, correction)
+        if wild:
+            return WpNormalForm(cur, False, correction, exact)
         if cur.level < lev:
             continue
         const = cur.residue(lev)
@@ -908,19 +901,25 @@ def exact_tail_reduce(a: FieldElement, level: int):
     rational element; `wild` marks an irreducible negative part (odd
     valuation or non-square leading coefficient).
     """
-    tw = a.tower
-    cur = a
+    reduced, _, wild = _lower_even_poles(a, level)
+    return reduced, wild
+
+
+def _lower_even_poles(cur: FieldElement, level: int):
+    """(cur + wp(sum of steps), steps, wild): the pole loop of both
+    reductions; wild when an irreducible pole in t_level is left."""
+    tw = cur.tower
+    steps = []
     while not cur.is_zero() and cur.level == level and cur.valuation(level) < 0:
         v = cur.valuation(level)
         if v % 2 != 0:
-            return cur, True
-        lead = (cur * tw.monomial(level, -v)).residue(level)
-        root = lead.sqrt()
+            return cur, steps, True
+        root = (cur * tw.monomial(level, -v)).residue(level).sqrt()
         if root is None:
-            return cur, True
-        step = root * tw.monomial(level, v // 2)
-        cur = cur + step * step + step
-    return cur, False
+            return cur, steps, True
+        steps.append(root * tw.monomial(level, v // 2))
+        cur = cur + wp(steps[-1])
+    return cur, steps, False
 
 
 def strip_even_power(b: FieldElement, level: int) -> FieldElement:

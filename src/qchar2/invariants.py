@@ -40,15 +40,25 @@ def e_map(p: QuadraticPfister) -> Symbol:
     return Symbol(p.fold, p.last_slot, p.bilinear_slots)
 
 
+def pfister_hyperbolic(p: QuadraticPfister) -> bool:
+    """Whether the expansion of p is hyperbolic, equivalently isotropic.
+
+    An isotropic Pfister form is hyperbolic, and by Kato's isomorphism
+    (Invent. Math. 66, 1982) with the Arason-Pfister Hauptsatz a fold-n
+    form is hyperbolic exactly when its symbol is trivial in degree n.
+    """
+    return class_trivial(SymbolSum(p.fold, (e_map(p),)))
+
+
 # -- vanishing table -------------------------------------------------------------------
 
 
 def iqn_vanishes(tw: FieldTower, n: int) -> bool:
     """Whether the degree-n Pfister subgroup is zero over this tower.
 
-    Height-m towers have u = 2^(m+1) (witnessed and sampled by the
-    verification suites), so anisotropic forms in the degree-(m+2) group
-    would need dimension 2^(m+2) > u: the group vanishes.
+    A height-m tower is C_(m+1) (Lang), so u = 2^(m+1); anisotropic forms
+    in the degree-(m+2) group would need dimension 2^(m+2) > u: the group
+    vanishes.
     """
     return n >= tw.height + 2
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 
+from .cohomology import Symbol, SymbolSum
 from .errors import ZeroScalar
 from .fields import FieldElement, FieldTower
 from .forms import (
@@ -23,8 +24,8 @@ from .forms import (
     orth_sum,
     scale,
 )
+from .invariants import pfister_hyperbolic
 from .linkage import canonical_witness
-from .witt import isotropy
 
 
 class Sampler:
@@ -91,8 +92,7 @@ class Sampler:
     def anisotropic_pfister(self, fold: int) -> QuadraticPfister:
         for _ in range(60):
             p = self.pfister(fold)
-            verdict = isotropy(p.expand())
-            if verdict.is_anisotropic:
+            if not pfister_hyperbolic(p):
                 return p
         # the canonical witness family always works
         return canonical_witness(self.tower, fold)
@@ -119,8 +119,6 @@ class Sampler:
     # -- symbols ----------------------------------------------------------------
 
     def symbol_sum(self, degree: int, count: int):
-        from .cohomology import Symbol, SymbolSum
-
         syms = []
         for _ in range(count):
             coeff = self.tame_a()

@@ -126,7 +126,7 @@ def wedge_decompose(class_sum: SymbolSum, slots, budget: int = 100000, extra_poo
     """
     n = class_sum.degree
     if not slots:
-        if class_trivial(class_sum) is True:
+        if class_trivial(class_sum):
             return []
         raise SearchExhausted("no slots and a nontrivial class", {"slots": 0})
     tw = slots[0].tower
@@ -149,7 +149,7 @@ def wedge_decompose(class_sum: SymbolSum, slots, budget: int = 100000, extra_poo
         if tried > budget:
             break
         diff = class_sum + wedge_with(assignment, slots, degree=n)
-        if class_trivial(diff) is True:
+        if class_trivial(diff):
             return list(assignment)
     raise SearchExhausted(
         "wedge decomposition not found in the searched pool",
@@ -196,8 +196,7 @@ def class_decompose(f: QuadraticForm, n: int, budget: int = 100000) -> SymbolSum
     if n == 2:
         target = clifford(f)
         out = _decompose_degree_two(kernel, budget)
-        check = class_trivial(out + target)
-        if check is not True:
+        if not class_trivial(out + target):
             raise UndecidableClass("decomposition failed its final verification")
         return out
     # n >= 3: kernel must be a scalar multiple of a fold-n Pfister form

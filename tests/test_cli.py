@@ -100,9 +100,23 @@ class TestVerbs:
 
     def test_u_invariant(self, capsys):
         code, out = run(capsys, "u-invariant", "--field", "F2((t))", "--n", "2",
-                        "--samples", "10", "--format", "json", "--no-meta")
+                        "--format", "json", "--no-meta")
         assert code == 0
         assert json.loads(out)["value"] == 4
+
+    @pytest.mark.parametrize("field, pfister, hyperbolic", [
+        # wild last slots: the symbol decides where the form decider
+        # answered "wild mixture"; over F4((t)) Schmid's trace is Tr(z) = 1
+        ("F2((t1))((t2))((t3))", "<<t1,1/t3]]", False),
+        ("F2^2((t))", "<<t+1,z/t^3]]", False),
+        ("F2((t))", "<<t,1/t^3]]", True),
+        ("F2((t1))((t2))", "<<t1,t2/t1^3]]", True),
+    ])
+    def test_pfister_hyperbolic(self, capsys, field, pfister, hyperbolic):
+        code, out = run(capsys, "pfister", "hyperbolic", "--field", field, pfister,
+                        "--format", "json", "--no-meta")
+        assert code == 0
+        assert json.loads(out)["hyperbolic"] is hyperbolic
 
     def test_pfister_expand(self, capsys):
         code, out = run(capsys, "pfister", "expand", "--field", "F2((t))",
@@ -254,7 +268,7 @@ class TestOptionContract:
         "symlen decompose": {"--field", "--n", "--budget"},
         "linkage max": {"--field", "--p", "--q", "--budget"},
         "linkage check": {"--field", "--p", "--q", "--k", "--budget"},
-        "u-invariant": {"--field", "--n", "--seed", "--samples"},
+        "u-invariant": {"--field", "--n"},
         "verify": {"--field", "--seed", "--samples", "--budget"},
     }
 
@@ -263,7 +277,7 @@ class TestOptionContract:
 
         got = leaf_options(build_parser())
         assert got == self.TABLE
-        assert sum(len(v) for v in got.values()) == 43
+        assert sum(len(v) for v in got.values()) == 41
 
     @pytest.mark.parametrize("argv", [
         ["pfister", "expand", "--field", "F2((t))", "<<t,1]]", "--budget", "5"],
@@ -290,7 +304,8 @@ class TestHypothesisViolations:
         ["symlen", "bound", "--u", "8,8", "--n", "3", "--rank", "-1"],
         # a sample count below 1 is a usage error
         ["verify", "oracle", "--samples", "-1"],
-        ["u-invariant", "--field", "F2((t))", "--samples", "-1"],
+        # u^n starts at degree 1
+        ["u-invariant", "--field", "F2((t))", "--n", "0"],
         # a negative budget is a usage error
         ["witt", "isotropy", "--field", "F2((t))", "--budget", "-5", "[1,1/t]+(1+t)*[1,1/t]"],
         ["verify", "oracle", "--samples", "3", "--budget", "-1"],

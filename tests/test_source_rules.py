@@ -119,6 +119,34 @@ def _identifiers(nodes):
     }
 
 
+def decider_names_in(stem, qualname):
+    """The names imported from `witt` anywhere in `stem` that the function
+    `qualname` (`Class.method` for a method) mentions."""
+    tree = ast.parse((SRC / f"{stem}.py").read_text())
+    from_witt = {
+        a.asname or a.name for n in ast.walk(tree)
+        if isinstance(n, ast.ImportFrom) and (_library_source(n) or "").split(".")[-1] == "witt"
+        for a in n.names
+    }
+    node = tree
+    for part in qualname.split("."):
+        node = next(n for n in node.body
+                    if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and n.name == part)
+    return _identifiers([node]) & from_witt
+
+
+def test_pfister_questions_ask_no_decider():
+    # isometry and hyperbolicity of a Pfister form are decided by its symbol
+    # (Kato's isomorphism and the Arason-Pfister Hauptsatz)
+    for stem, qualname in (
+        ("linkage", "pfisters_isometric"),
+        ("linkage", "verify_linkage_witness"),
+        ("linkage", "u_invariant_estimate"),
+        ("sampling", "Sampler.anisotropic_pfister"),
+    ):
+        assert decider_names_in(stem, qualname) == set(), qualname
+
+
 def unreached_names():
     """`module.name` for every top-level function or class of the library
     that no root reaches through the names it mentions.  The roots are the
