@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 
 from .cohomology import Symbol, SymbolSum
-from .errors import ZeroScalar
+from .errors import HypothesisViolated, ZeroScalar
 from .fields import FieldElement, FieldTower
 from .forms import (
     QuadraticForm,
@@ -24,7 +24,7 @@ from .forms import (
     orth_sum,
     scale,
 )
-from .invariants import pfister_hyperbolic
+from .invariants import iqn_vanishes, pfister_hyperbolic
 from .linkage import canonical_witness
 
 
@@ -90,6 +90,10 @@ class Sampler:
         return QuadraticPfister(slots, self.tame_a())
 
     def anisotropic_pfister(self, fold: int) -> QuadraticPfister:
+        if iqn_vanishes(self.tower, fold):
+            raise HypothesisViolated(
+                f"no anisotropic {fold}-fold Pfister form exists over {self.tower.descriptor()}"
+            )
         for _ in range(60):
             p = self.pfister(fold)
             if not pfister_hyperbolic(p):

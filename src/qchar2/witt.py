@@ -33,12 +33,15 @@ calling the decider.
 
 The bounded searches keep their values denominator-free: one nonzero
 polynomial S per search scales every q(v), so sums and products there
-are top-ring polynomial arithmetic with no gcd (`_Cleared`).
+are top-ring polynomial arithmetic with no gcd (`_Cleared`).  A Hensel
+candidate is first screened by t_m-valuations, integers read off its key
+and coordinates, and only one that passes is rebuilt as a field element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, islice, product
 
 from .errors import (
@@ -188,21 +191,60 @@ class _Cleared:
     """Search values q(v) as keys S * q(v), S = S_f * S_p^2 != 0, made by the
     top ring's adds and multiplies with no gcd: S_f clears every denominator
     of the slots b, b*a, c of f at every level, and S_p those of `scalars`,
-    which enter as X = S_p * x.  `value` divides S back out."""
+    which enter as X = S_p * x.  `value` divides S back out; `screen` needs
+    only t_m-valuations."""
 
     def __init__(self, f: QuadraticForm, scalars):
         tw = f.tower
         self.ring = ring = tw.top_ring()
         slots = [q for b, a in f.pairs for q in (b, b * a)] + list(f.quasilinear)
-        s_form, s_pool = clearing_scale(tw, slots), clearing_scale(tw, scalars)
-        self.inverse = (s_form * s_pool * s_pool).inverse()
+        self._scales = s_form, s_pool = clearing_scale(tw, slots), clearing_scale(tw, scalars)
         polys = [ring.polynomial(s_form * q) for q in slots]
         n = 2 * len(f.pairs)
         self.pairs, self.quasilinear = list(zip(polys[:n:2], polys[1:n:2])), polys[n:]
         self.scalars = [(x, ring.polynomial(s_pool * x)) for x in scalars]
+        m = self.height = tw.height
+        if m:
+            # v_m(S), v_m(q(e_i)) on the pair vectors (None for 0) and v_m(x)
+            # of each nonzero scalar
+            self.shift = s_form.valuation(m) + 2 * s_pool.valuation(m)
+            self.slot_vals = [q.valuation(m) if q else None for q in slots[:n]]
+            self.scalar_vals = {x: x.valuation(m) for x in scalars if x}
+
+    @cached_property
+    def inverse(self) -> FieldElement:
+        s_form, s_pool = self._scales
+        return (s_form * s_pool * s_pool).inverse()
 
     def value(self, key) -> FieldElement:
         return self.ring.element(key) * self.inverse
+
+    def screen(self, coords, key) -> bool:
+        """False only when `_hensel_scan` cannot certify the candidate v with
+        these leading pair coordinates (the rest 0) and key S * q(v),
+        judged by integers alone: v = 0 never, q(v) = 0 always.  Else a
+        pair (v, e_i) with B(v, e_i) = b_p * (coordinate) != 0 passes when
+        q(e_i) = 0, when v_m(q(v)) + v_m(q(e_i)) > 2 v_m(B(v, e_i)), or
+        when all three v_m are 0, where the values may lie below t_m and
+        `_hensel_line` takes a lower level.  Height 0 passes everything."""
+        if not key:
+            return any(coords)
+        if not self.height:
+            return True
+        vq = self.ring.val(key) - self.shift
+        qe, xv = self.slot_vals, self.scalar_vals
+        for i in range(0, min(len(coords) - 1, len(qe)), 2):
+            # a pair's (x, y) = coords[i:i+2] and b = q(e_i): B(v, e_i) = b*y
+            # and B(v, e_i+1) = b*x
+            for c, vu in ((coords[i + 1], qe[i]), (coords[i], qe[i + 1])):
+                if not c:
+                    continue
+                if vu is None:
+                    return True
+                v_b = qe[i] + xv[c]
+                if vq + vu > 2 * v_b or vq == vu == v_b == 0:
+                    return True
+        return False
 
     def blocks(self, k, kq):
         """Per pair the keys of ((x, y), b(x^2 + xy + a y^2)) over the first k
@@ -672,10 +714,10 @@ def brute_search(f: QuadraticForm, budget: int = DEFAULT_SEARCH_BUDGET) -> Isotr
 
     The Hensel pass evaluates nothing form-wide.  q(e_i) comes from
     `_basis`; q(v) of a candidate from the left half of the
-    meet-in-the-middle is its key times S^-1, rebuilt when the pass
-    reaches it; and the row B(v, e_i) is one coordinate of v times a
-    b-slot (`_polar_row`).  Only a returned witness is evaluated, by
-    `_iso_exact`.
+    meet-in-the-middle is its key times S^-1, rebuilt only when its
+    valuations pass the screen (`_Cleared.screen`); and the row B(v, e_i)
+    is one coordinate of v times a b-slot (`_polar_row`).  Only a returned
+    witness is evaluated, by `_iso_exact`.
     """
     tw = f.tower
     if f.dim == 0:
@@ -704,19 +746,22 @@ def brute_search(f: QuadraticForm, budget: int = DEFAULT_SEARCH_BUDGET) -> Isotr
             return _iso_exact(f, match + coords)
 
     # Hensel pass: the basis vectors, then the first left combinations,
-    # each against every basis vector
+    # each against every basis vector; a combination the screen rejects
+    # gets no value (None) and no row, but counts as tried
     basis = _basis(f)
     zero = tw.zero()
-    cand = ((c + (zero,) * (f.dim - len(c)), cleared.value(key)) for c, key in left[:64])
+    cand = ((c + (zero,) * (f.dim - len(c)), cleared.value(key) if cleared.screen(c, key) else None)
+            for c, key in left[:64])
     hensel_tried = 0
     for v, qv in chain(basis, cand):
         if not any(v):
             continue
         if hensel_tried > budget:
             break
-        got = _hensel_scan(f, v, qv, _polar_row(f, v), basis)
-        if got is not None:
-            return got
+        if qv is not None:
+            got = _hensel_scan(f, v, qv, _polar_row(f, v), basis)
+            if got is not None:
+                return got
         hensel_tried += f.dim
     report = {"budget": budget, "pool": len(pool), "pairs_covered": min(covered, budget * 4),
               "hensel_tried": hensel_tried}

@@ -322,6 +322,12 @@ class TestHypothesisViolations:
         assert main(argv) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_suite_on_a_field_without_its_pfister_forms(self, capsys):
+        # I_q^2 F_4 = 0: the insep suite has no anisotropic 2-fold to draw
+        assert main(["verify", "insep", "--field", "F4", "--samples", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: no anisotropic 2-fold Pfister form exists over F2^2\n"
+
     def test_linkage_check_with_no_common_slot(self, capsys):
         code, out = run(capsys, "linkage", "check", "--field", "F2((t))", "--p", "<<t,1]]",
                         "--q", "<<t+t^2,1]]", "--k", "0", "--format", "json", "--no-meta")
@@ -372,3 +378,19 @@ class TestRefutationCandidates:
                               capture_output=True, text=True, env=env)
         assert done.returncode == 3, done.stderr
         assert "Traceback" not in done.stderr
+
+
+def test_runs_as_a_module():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import qchar2
+
+    env = {**os.environ, "PYTHONPATH": str(Path(qchar2.__file__).parents[1])}
+    argv = ["symlen", "bound", "--u", "4", "--n", "2"]
+    done = subprocess.run([sys.executable, "-m", "qchar2", *argv],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert "bound: 1" in done.stdout

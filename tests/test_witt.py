@@ -5,7 +5,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from qchar2.errors import HypothesisViolated, SingularInput
 from qchar2.fields import tower, wp
@@ -16,7 +16,9 @@ from qchar2.suites import run_suite
 from qchar2.witt import (
     IsotropyVerdict,
     _Cleared,
+    _basis,
     _block_combos,
+    _hensel_line,
     _polar_row,
     brute_search,
     candidate_scalars,
@@ -640,18 +642,53 @@ def test_brute_search_hensel_pass_makes_no_form_wide_call(monkeypatch):
     assert calls == {"evaluate": 0, "polar": 0}
 
 
+def test_brute_search_rebuilds_only_screened_candidates(monkeypatch):
+    # a wild mixture that stays Undecided: no left combination can certify
+    f = parse_form(F2T, "(t^4+t)*[1,(t^2+t+1)/(t^5+t^4)]+(t^3+t)*[1,(t^2+t+1)/t]")
+    made, screened, rebuilt = [], [], []
+    init, screen, value = _Cleared.__init__, _Cleared.screen, _Cleared.value
+
+    def counted_init(self, *args):
+        made.append(self)
+        init(self, *args)
+
+    def counted_screen(self, coords, key):
+        passed = screen(self, coords, key)
+        screened.append(passed)
+        return passed
+
+    def counted_value(self, key):
+        rebuilt.append(key)
+        return value(self, key)
+
+    monkeypatch.setattr(_Cleared, "__init__", counted_init)
+    monkeypatch.setattr(_Cleared, "screen", counted_screen)
+    monkeypatch.setattr(_Cleared, "value", counted_value)
+    v = brute_search(f)
+    # the same report as when every candidate was rebuilt
+    assert v.kind == "undecided"
+    assert v.budget_report == {"budget": 4096, "pool": 8, "pairs_covered": 3008,
+                               "hensel_tried": 268}
+    assert len(screened) == 64
+    assert len(rebuilt) == sum(screened) == 0
+    # and S^-1 is never formed
+    assert len(made) == 1 and "inverse" not in vars(made[0])
+
+
 # -- the identities the searches' arithmetic rests on ----------------------------------
 
 IDENTITY_TOWERS = [tower(2), tower(1, ("t",)), tower(2, ("t",)), tower(1, ("t1", "t2"))]
 IDENTITY_CASES = settings(max_examples=40, deadline=None)
 
 
-def _scalar(tw):
-    """A sum of one or two base-field multiples of Laurent monomials, over
-    1 + t_m half the time; may be zero."""
+def _scalar(tw, top=None, max_terms=2):
+    """A sum of up to `max_terms` base-field multiples of Laurent monomials in
+    t_1..t_top (all of them by default), over 1 + t_top half the time; may
+    be zero."""
+    top = tw.height if top is None else top
     term = st.tuples(
         st.integers(0, tw.order - 1),
-        st.lists(st.integers(-2, 2), min_size=tw.height, max_size=tw.height),
+        st.lists(st.integers(-2, 2), min_size=top, max_size=top),
     )
 
     def build(terms, over_one_plus_t):
@@ -661,16 +698,16 @@ def _scalar(tw):
             for level, e in enumerate(exponents, 1):
                 y = y * tw.monomial(level, e)
             x = x + y
-        return x / (tw.one() + tw.gen(tw.height)) if over_one_plus_t and tw.height else x
+        return x / (tw.one() + tw.gen(top)) if over_one_plus_t and top else x
 
-    return st.builds(build, st.lists(term, min_size=1, max_size=2), st.booleans())
+    return st.builds(build, st.lists(term, min_size=1, max_size=max_terms), st.booleans())
 
 
-def _form(tw):
-    nonzero = _scalar(tw).filter(lambda x: not x.is_zero())
+def _form(tw, top=None, max_terms=2):
+    nonzero = _scalar(tw, top, max_terms).filter(lambda x: not x.is_zero())
     return st.builds(
         lambda pairs, ql: QuadraticForm(tw, tuple(pairs), tuple(ql)),
-        st.lists(st.tuples(nonzero, _scalar(tw)), min_size=1, max_size=2),
+        st.lists(st.tuples(nonzero, _scalar(tw, top, max_terms)), min_size=1, max_size=2),
         st.lists(nonzero, max_size=2),
     )
 
@@ -706,6 +743,37 @@ def test_block_combo_values_are_form_values(tw, data):
         assert scaled == scale * f.evaluate(padded)
         assert _polynomial_at_every_level(scaled)
         assert cleared.value(key) == f.evaluate(padded)
+
+
+SCREEN_TOWERS = [tower(1, ("t",)), tower(2, ("t",)), tower(1, ("t1", "t2")),
+                 tower(1, ("t1", "t2", "t3"))]
+
+
+@pytest.mark.parametrize("tw", SCREEN_TOWERS, ids=lambda tw: tw.descriptor())
+@seed(21)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_hensel_screen_passes_every_certifying_candidate(tw, data):
+    # slots and scalars in t_1..t_top; for top < m every Hensel level is
+    # below t_m, where the screen sees only valuations 0.  Level-3 sums of
+    # several terms take seconds each, so there every scalar is one term.
+    top = data.draw(st.integers(1, tw.height))
+    terms = 1 if top == 3 else 2
+    f = data.draw(_form(tw, top, terms))
+    pool = data.draw(st.lists(_scalar(tw, top, terms), min_size=2, max_size=4))
+    cleared = _Cleared(f, pool)
+    blocks = cleared.blocks(len(pool), len(pool))
+    prefix = data.draw(st.integers(1, len(blocks)))
+    basis = [(e, f.evaluate(e)) for e, _ in _basis(f)]
+    for coords, key in _block_combos(cleared.ring, blocks[:prefix], 100):
+        v = coords + (tw.zero(),) * (f.dim - len(coords))
+        qv = f.evaluate(v)
+        if qv.is_zero():
+            certifies = any(v)
+        else:
+            certifies = any(_hensel_line(qv, qe, f.polar(v, e)) is not None for e, qe in basis)
+        if certifies:
+            assert cleared.screen(coords, key), (str(f), [str(x) for x in v])
 
 
 def _polynomial_at_every_level(x):
