@@ -23,6 +23,17 @@ nonzero coefficient is 1, constant fractions collapsed to the lower
 level), so structural equality coincides with field equality and
 elements are hashable.  `tower()` interns towers, one per (k, names).
 
+Each tower builds its 2^k level-0 elements once (`FieldTower._constants`),
+and every level-0 result of the arithmetic is one of them; equality still
+goes by value, since an unpickled element is a fresh object.  An element
+keeps its printed form (`parsing.format_element`) once it has been asked
+for, as it keeps its hash.  Two mixed-level operations skip the gcd of
+the fraction path (Henrici's rational arithmetic, Knuth, TAOCP Vol. 2,
+§4.5.1): for a canonical n/d at level j and a nonzero c below level j,
+c is a unit of the coefficient field, so c*n/d is coprime, and
+gcd(n + c*d, d) = gcd(n, d) = 1, so (n + c*d)/d is too; the denominator
+is unchanged and neither result can collapse to a constant.
+
 Semantic questions (squareness, Artin-Schreier membership, valuations)
 are answered against the *complete* field, even though representatives
 are rational.  Verdicts are always exact; only the series witness
@@ -69,6 +80,7 @@ class FieldTower:
         self.k = base_exponent
         self.names = names
         self._build_base_tables()
+        self._constants = tuple(FieldElement._constant(self, bits) for bits in range(self.order))
         # the one choice of polynomial representation, per level
         packed = _BinaryRing if base_exponent == 1 else _PackedRing
         self._rings = (_BaseRing(self),) + tuple(
@@ -143,15 +155,15 @@ class FieldTower:
         return len(self.names)
 
     def zero(self) -> FieldElement:
-        return FieldElement._base(self, 0)
+        return self._constants[0]
 
     def one(self) -> FieldElement:
-        return FieldElement._base(self, 1)
+        return self._constants[1]
 
     def base_element(self, bits: int) -> FieldElement:
         if not 0 <= bits < self.order:
             raise ValueError(f"bits {bits} outside F_{{2^{self.k}}}")
-        return FieldElement._base(self, bits)
+        return self._constants[bits]
 
     def gen(self, level: int) -> FieldElement:
         """The Laurent variable t_level (1-indexed)."""
@@ -265,7 +277,6 @@ class _PackedRing(_Ring):
         self._w = 2 * k - 1
         self._kmask = tw.order - 1
         self.tower = tw
-        self._base = tuple(FieldElement._base(tw, c) for c in range(tw.order))
         self._inv = (0,) + tuple(tw.binv(c) for c in range(1, tw.order))
         self._root = tuple(tw.bsqrt(c) for c in range(tw.order))
         # z^k = g(z) modulo the field polynomial: the high part h of a slot
@@ -344,7 +355,7 @@ class _PackedRing(_Ring):
         if den == 0:
             raise ZeroDivisionError("zero denominator")
         if num == 0:
-            return FieldElement._base(self.tower, 0)
+            return self.tower.zero()
         # gcd is only needed when both sides are non-constant
         if num > self._kmask and den > self._kmask:
             g, r = num, den
@@ -362,14 +373,14 @@ class _PackedRing(_Ring):
             inv = self._inv[unit]
             num, den = self._scale(num, inv), self._scale(den, inv)
         if den == 1 and num <= self._kmask:
-            return FieldElement._base(self.tower, num)
+            return self.tower._constants[num]
         return FieldElement._make(self.tower, 1, num, den)
 
     def val(self, a):
         return ((a & -a).bit_length() - 1) // self._w
 
     def coeffs(self, a):
-        base, kmask = self._base, self._kmask
+        base, kmask = self.tower._constants, self._kmask
         return tuple(base[a >> i & kmask] for i in range(0, a.bit_length(), self._w))
 
     def derive(self, a):
@@ -410,7 +421,7 @@ class _BinaryRing(_PackedRing):
 
     def coprime_fraction(self, num, den):
         if den == 1 and num <= 1:
-            return FieldElement._base(self.tower, num)
+            return self.tower._constants[num]
         return FieldElement._make(self.tower, 1, num, den)
 
     def val(self, a):
@@ -502,7 +513,7 @@ class _TupleRing(_Ring):
         if not den:
             raise ZeroDivisionError("zero denominator")
         if not num:
-            return FieldElement._base(self.tower, 0)
+            return self.tower.zero()
         # gcd is only needed when both sides are non-constant
         if len(num) > 1 and len(den) > 1:
             g = self._gcd(num, den)
@@ -562,16 +573,22 @@ class FieldElement:
     Immutable and hashable; arithmetic always returns the canonical
     reduced representation, so `==` decides field equality.  At level
     j >= 1, `num` and `den` are polynomials in the format of the tower's
-    level-j ring.
+    level-j ring.  A level-0 result is one of the tower's shared
+    constants, but zero and one are still tested by value (`is_zero`,
+    `is_one`), never by identity: an unpickled element is a new object.
+    The hash and the printed form are computed once and kept.  Adding or
+    multiplying by an element of a lower level skips the gcd (see the
+    module docstring).
     """
 
-    __slots__ = ("tower", "level", "bits", "num", "den", "_hash")
+    __slots__ = ("tower", "level", "bits", "num", "den", "_hash", "_str")
 
     def __init__(self, *_args, **_kwargs):
         raise TypeError("use FieldTower methods or arithmetic to build elements")
 
     @classmethod
-    def _base(cls, tw, bits):
+    def _constant(cls, tw, bits):
+        """A new level-0 element; only `FieldTower` calls this, once per bits."""
         self = object.__new__(cls)
         self.tower = tw
         self.level = 0
@@ -579,6 +596,7 @@ class FieldElement:
         self.num = None
         self.den = None
         self._hash = None
+        self._str = None
         return self
 
     @classmethod
@@ -591,6 +609,7 @@ class FieldElement:
         self.num = num
         self.den = den
         self._hash = None
+        self._str = None
         return self
 
     # -- structure ------------------------------------------------------------
@@ -609,12 +628,6 @@ class FieldElement:
         ring = self.tower._rings[self.level]
         return ring.coeffs(self.num), ring.coeffs(self.den)
 
-    def _frac_at(self, level):
-        if self.level == level:
-            return self.num, self.den
-        ring = self.tower._rings[level]
-        return ring.lift(self), ring.one
-
     def _coerce(self, other):
         if isinstance(other, FieldElement):
             if other.tower is not self.tower:
@@ -630,16 +643,22 @@ class FieldElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.level == 0 and other.level == 0:
-            return FieldElement._base(self.tower, self.bits ^ other.bits)
-        level = max(self.level, other.level)
-        ring = self.tower._rings[level]
-        n1, d1 = self._frac_at(level)
-        n2, d2 = other._frac_at(level)
-        if d1 == d2:
-            return ring.fraction(ring.add(n1, n2), d1)
-        num = ring.add(ring.mul(n1, d2), ring.mul(n2, d1))
-        return ring.fraction(num, ring.mul(d1, d2))
+        tw = self.tower
+        if self.level == other.level:
+            if self.level == 0:
+                return tw._constants[self.bits ^ other.bits]
+            ring = tw._rings[self.level]
+            n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+            if d1 == d2:
+                return ring.fraction(ring.add(n1, n2), d1)
+            num = ring.add(ring.mul(n1, d2), ring.mul(n2, d1))
+            return ring.fraction(num, ring.mul(d1, d2))
+        x, c = (self, other) if self.level > other.level else (other, self)
+        if c.is_zero():
+            return x
+        # gcd(n + c*d, d) = gcd(n, d) = 1
+        ring = tw._rings[x.level]
+        return ring.coprime_fraction(ring.add(x.num, ring.mul(ring.lift(c), x.den)), x.den)
 
     __radd__ = __add__
     __sub__ = __add__          # characteristic 2
@@ -652,19 +671,20 @@ class FieldElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.level == 0 and other.level == 0:
-            return FieldElement._base(self.tower, self.tower.bmul(self.bits, other.bits))
-        if self.is_zero() or other.is_zero():
-            return self.tower.zero()
-        if self.is_one():
-            return other
-        if other.is_one():
-            return self
-        level = max(self.level, other.level)
-        ring = self.tower._rings[level]
-        n1, d1 = self._frac_at(level)
-        n2, d2 = other._frac_at(level)
-        return ring.fraction(ring.mul(n1, n2), ring.mul(d1, d2))
+        tw = self.tower
+        if self.level == other.level:
+            if self.level == 0:
+                return tw._constants[tw.bmul(self.bits, other.bits)]
+            ring = tw._rings[self.level]
+            return ring.fraction(ring.mul(self.num, other.num), ring.mul(self.den, other.den))
+        x, c = (self, other) if self.level > other.level else (other, self)
+        if c.is_zero():
+            return tw.zero()
+        if c.is_one():
+            return x
+        # c is a unit of the coefficient field, so c*n stays coprime to d
+        ring = tw._rings[x.level]
+        return ring.coprime_fraction(ring.mul(ring.lift(c), x.num), x.den)
 
     __rmul__ = __mul__
 
@@ -672,7 +692,7 @@ class FieldElement:
         if self.is_zero():
             raise ZeroDivisionError("inverting 0")
         if self.level == 0:
-            return FieldElement._base(self.tower, self.tower.binv(self.bits))
+            return self.tower._constants[self.tower.binv(self.bits)]
         return self.tower._rings[self.level].coprime_fraction(self.den, self.num)
 
     def __truediv__(self, other):
@@ -770,7 +790,7 @@ class FieldElement:
         perfect, so level-0 elements always have a root.
         """
         if self.level == 0:
-            return FieldElement._base(self.tower, self.tower.bsqrt(self.bits))
+            return self.tower._constants[self.tower.bsqrt(self.bits)]
         ring = self.tower._rings[self.level]
         root = ring.sqrt(ring.mul(self.num, self.den))
         if root is None:
@@ -808,9 +828,11 @@ class FieldElement:
         return f"<{self}>"
 
     def __str__(self):
-        from .parsing import format_element
+        if self._str is None:
+            from .parsing import format_element
 
-        return format_element(self)
+            self._str = format_element(self)
+        return self._str
 
 
 def clearing_scale(tw: FieldTower, xs) -> FieldElement:

@@ -5,7 +5,7 @@ import pickle
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from qchar2.errors import LevelError, NegativeValuation, ZeroInput
 from qchar2.fields import (
@@ -378,6 +378,130 @@ def test_inverse_skips_the_gcd(monkeypatch):
         monkeypatch.setattr(ring, "_divmod", lambda *a: pytest.fail("gcd in inverse"))
         assert x.inverse() == want
         monkeypatch.undo()
+
+
+# -- mixed-level shortcuts and the shared level-0 constants ----------------------------
+#
+# For a canonical n/d at level j and a constant c below it, x*c and x + c
+# skip the gcd of the fraction path; each must equal what the
+# cross-multiplied fraction with its gcd gives.
+
+MIXED_TOWERS = [
+    tower(1, ("t",)), tower(2, ("t",)), tower(1, ("t1", "t2")), tower(2, ("t1", "t2")),
+    tower(1, ("t1", "t2", "t3")),
+]
+
+
+def _laurent(tw, top, max_terms):
+    """A sum of up to `max_terms` base-field multiples of Laurent monomials
+    in t_1..t_top; may be zero or lie below t_top."""
+    term = st.tuples(
+        st.integers(0, tw.order - 1),
+        st.lists(st.integers(-2, 2), min_size=top, max_size=top),
+    )
+
+    def build(terms):
+        x = tw.zero()
+        for c, exponents in terms:
+            y = tw.base_element(c)
+            for level, e in enumerate(exponents, 1):
+                y = y * tw.monomial(level, e)
+            x = x + y
+        return x
+
+    return st.builds(build, st.lists(term, min_size=1, max_size=max_terms))
+
+
+def _at_level(tw, level, max_terms):
+    """A quotient of two such sums, over 1 + t_level half the time, that
+    lies exactly at `level`."""
+    one_plus_t = tw.one() + tw.gen(level)
+    return st.builds(
+        lambda num, den, over: num / den / one_plus_t if over else num / den,
+        _laurent(tw, level, max_terms), _laurent(tw, level, max_terms).filter(bool), st.booleans(),
+    ).filter(lambda x: x.level == level)
+
+
+def _generic(x, c, op):
+    """x + c or x * c through the cross-multiplied fraction and its gcd."""
+    ring = x.tower._rings[x.level]
+    n, d = ring.polynomial(c), ring.one
+    num = ring.add(ring.mul(x.num, d), ring.mul(n, x.den)) if op == "+" else ring.mul(x.num, n)
+    return ring.fraction(num, ring.mul(x.den, d))
+
+
+def _parts(x):
+    return x.level, x.bits, x.num, x.den
+
+
+@pytest.mark.parametrize("tw", MIXED_TOWERS, ids=lambda tw: tw.descriptor())
+@seed(20170)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_mixed_level_shortcuts_match_the_fraction_path(tw, data):
+    # level-3 sums of several terms take seconds each, so there every
+    # scalar is one term
+    level = data.draw(st.integers(1, tw.height))
+    terms = 1 if level == 3 else 2
+    x = data.draw(_at_level(tw, level, terms))
+    for low in range(level):
+        c = data.draw(st.one_of(st.sampled_from([tw.zero(), tw.one()]), _laurent(tw, low, terms)))
+        assert c.level < level
+        add, mul = _parts(_generic(x, c, "+")), _parts(_generic(x, c, "*"))
+        assert _parts(x + c) == _parts(c + x) == add, (str(x), str(c))
+        assert _parts(x * c) == _parts(c * x) == mul, (str(x), str(c))
+        if c.is_zero():
+            assert x + c is x and c + x is x
+
+
+def test_mixed_level_operations_skip_the_gcd(monkeypatch):
+    # c*n/d and (n + c*d)/d are coprime when n/d is, so only the unit
+    # rescaling is left
+    x = el(F2TT, "(t1*t2^2+t2+1)/(t2^2+t1*t2+1)")
+    c = el(F2TT, "(1+t1)/t1")
+    ring = F2TT._rings[2]
+    product, total = _generic(x, c, "*"), _generic(x, c, "+")
+    for name in ("_divmod", "_gcd"):
+        monkeypatch.setattr(ring, name, lambda *a: pytest.fail("gcd in a mixed-level operation"))
+    assert x * c == product and c * x == product
+    assert x + c == total and c + x == total
+    monkeypatch.undo()
+    tw = PACKED_TOWERS[2]
+    x, c = el(tw, "(z*t^3+t+z)/(t^2+z)"), tw.base_element(3)
+    ring = tw._rings[1]
+    product = _generic(x, c, "*")
+    monkeypatch.setattr(ring, "_divmod", lambda *a: pytest.fail("gcd in a mixed-level product"))
+    assert x * c == product and c * x == product
+
+
+@pytest.mark.parametrize("tw", MIXED_TOWERS[:4], ids=lambda tw: tw.descriptor())
+def test_level_zero_results_are_the_shared_constants(tw):
+    assert tw.base_element(0) is tw.zero()
+    assert tw.base_element(1) is tw.one()
+    rng = random.Random(tw.k * 10 + tw.height)
+    xs = [_digest_element(tw, rng) for _ in range(10)] + list(tw._constants)
+    for _ in range(80):
+        x, y = rng.choice(xs), rng.choice(xs)
+        results = [x + y, x * y, x + x, x + (x + tw.one()), x.sqrt()]
+        if not x.is_zero():
+            results += [x.inverse(), x * x.inverse()]
+        for r in results:
+            if r is not None and r.level == 0:
+                assert r is tw._constants[r.bits], (str(x), str(y), str(r))
+
+
+@pytest.mark.parametrize("tw", MIXED_TOWERS[:4], ids=lambda tw: tw.descriptor())
+def test_printed_form_is_kept_and_reparses(tw):
+    rng = random.Random(tw.k * 10 + tw.height + 1)
+    for _ in range(10):
+        x = _digest_element(tw, rng)
+        before = pickle.loads(pickle.dumps(x))
+        text = str(x)
+        assert text == format_element(x) and str(x) is text
+        after = pickle.loads(pickle.dumps(x))
+        for back in (before, after):
+            assert str(back) == format_element(back) == text
+        assert parse_element(tw, text) == x
 
 
 # -- the clearing scale of the denominator-free searches ----------------------------

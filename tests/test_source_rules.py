@@ -180,6 +180,29 @@ def test_every_library_name_is_reached():
     assert unreached_names() == ["linalg.solve"]
 
 
+CONSTANT_NAMES = {"zero", "one", "base_element", "_constants"}
+
+
+def identity_tests_of_constants():
+    """`module:line` for every `is`/`is not` one of whose operands mentions
+    `zero`, `one`, `base_element` or the `_constants` table."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [
+            f"{path.stem}:{n.lineno}" for n in ast.walk(tree)
+            if isinstance(n, ast.Compare) and any(isinstance(op, (ast.Is, ast.IsNot)) for op in n.ops)
+            and _identifiers([n.left, *n.comparators]) & CONSTANT_NAMES
+        ]
+    return found
+
+
+def test_no_field_element_is_compared_by_identity():
+    # every level-0 result is one of the tower's shared constants, but an
+    # unpickled element is a fresh object: zero and one are tested by value
+    assert identity_tests_of_constants() == []
+
+
 def checked_rules():
     """Every rule name that `witt._verify_cert` compares `rule` with."""
     tree = ast.parse((SRC / "witt.py").read_text())
