@@ -19,8 +19,12 @@ Strategy by level:
   complete Laurent step, one `_springer_step` for every tame form).  A
   zero of a residue form on quasilinear coordinates alone need not lift,
   and leaves the bounded search.  A *wild* pair alone is certified
-  anisotropic by its irreducible negative part; wild mixtures degrade to
-  bounded search and may come back Undecided.
+  anisotropic by its irreducible negative part.  Over F_q((t)) a wild
+  mixture is decided by its invariants (`_local_classification`): the
+  field is C_2 and its degree-3 Pfister subgroup vanishes, so a form is
+  classified by its dimension, Arf class and Clifford class.  Wild
+  mixtures at height >= 2, and mixed forms of dimension <= 4 at height 1,
+  degrade to bounded search and may come back Undecided.
 
 Isotropy over the completion often has no zero among rational
 representatives.  Verdicts then carry a certificate instead of an exact
@@ -44,12 +48,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice, product
 
+from .cohomology import Symbol, SymbolSum, class_trivial
 from .errors import (
     HypothesisViolated, ParseError, RefutationCandidate, SingularInput, UndecidableInstance,
 )
 from .fields import (
     FieldElement,
     FieldTower,
+    WpNormalForm,
     clearing_scale,
     exact_tail_reduce,
     strip_even_power,
@@ -348,8 +354,11 @@ def isotropy(f: QuadraticForm, budget: int = DEFAULT_SEARCH_BUDGET) -> IsotropyV
     """Decide isotropy of f over the complete tower.
 
     Undecided is a value, not an error, and only occurs for wild
-    mixtures or undecidable quasilinear interaction.
+    mixtures at height >= 2, wild mixed forms of dimension <= 4 at height
+    1, or undecidable quasilinear interaction.
+    A budget below 0 raises `HypothesisViolated` on every path.
     """
+    _check_budget(budget)
     tw = f.tower
     if f.dim == 0:
         return IsotropyVerdict("anisotropic", None, {"rule": "empty"})
@@ -450,6 +459,9 @@ def _isotropy_nonsingular(f: QuadraticForm, budget: int) -> IsotropyVerdict:
                 "valuation": v,
             }
             return IsotropyVerdict("anisotropic", None, cert)
+        record = _local_classification(f)
+        if record is not None:
+            return record.verdict()
         return _searched(f, budget, {"reason": "wild mixture", "wild_pairs": wild})
 
     return _springer_step(f, pairs, level, budget)
@@ -552,6 +564,9 @@ def _isotropy_mixed(f: QuadraticForm, budget: int) -> IsotropyVerdict:
         return _isotropy_finite(f)
     pairs, wild = _normalize_pairs(f, level)
     if wild:
+        record = _local_classification(f)
+        if record is not None:
+            return record.verdict()
         return _searched(f, budget, {"reason": "wild mixed form"})
     return _springer_step(f, pairs, level, budget)
 
@@ -563,6 +578,102 @@ def _searched(f: QuadraticForm, budget: int, report: dict) -> IsotropyVerdict:
     if found.is_isotropic:
         return found
     return IsotropyVerdict("undecided", None, None, {**report, "budget": budget})
+
+
+# -- the classification over F_q((t)) ----------------------------------------------
+
+
+@dataclass(frozen=True)
+class _LocalClass:
+    """A form over F = F_q((t)) by its dimension, the Arf class and the
+    Clifford sum of its nonsingular part, and whether that sum's class is
+    trivial; `isotropic` is the verdict they force."""
+
+    dim: int
+    arf: WpNormalForm
+    clifford: SymbolSum
+    trivial: bool
+    isotropic: bool
+
+    def verdict(self) -> IsotropyVerdict:
+        cert = {"rule": "local-invariants", "dim": self.dim, "arf": str(self.arf.reduced),
+                "class_trivial": self.trivial}
+        return IsotropyVerdict("isotropic" if self.isotropic else "anisotropic", None, cert)
+
+
+def _in_local_reach(f: QuadraticForm) -> bool:
+    """Whether `_local_classification` decides f: a form over F_q((t)) of
+    dimension at least 5, or of dimension 4 with no quasilinear entry."""
+    return f.tower.height == 1 and (f.dim >= 5 or (f.dim == 4 and not f.quasilinear))
+
+
+def _local_invariants(f: QuadraticForm) -> tuple:
+    """(Arf class, Clifford sum, whether its class is trivial) of the
+    nonsingular part of f: the a-slot sum modulo wp and the sum of the
+    symbols [a, b) of its pairs b[1,a]."""
+    arf = wp_reduce(sum((a for _, a in f.pairs), f.tower.zero()))
+    clifford = SymbolSum(2, tuple(Symbol(2, a, (b,)) for b, a in f.pairs))
+    return arf, clifford, class_trivial(clifford)
+
+
+def _local_classification(f: QuadraticForm) -> _LocalClass | None:
+    """The class of f over F = F_q((t)), None when f is out of reach
+    (`_in_local_reach`).
+
+    F is C_2 (S. Lang, Ann. of Math. 55, 1952), so u(F) = 4 and every form
+    of dimension >= 5 is isotropic, quasilinear entries included.  Its
+    degree-3 Pfister subgroup vanishes (K. Kato, Invent. Math. 66, 1982),
+    so a nonsingular form is fixed in the Witt group by its Arf class and
+    its Clifford class in H_2^2(F) = Z/2.  A nonsingular form of dimension 4
+    with a nontrivial Arf class is isotropic; with a trivial one it is
+    similar to a 2-fold Pfister form, isotropic and then hyperbolic exactly
+    when its Clifford class is trivial.  Nothing here searches.
+    """
+    if not _in_local_reach(f):
+        return None
+    arf, clifford, trivial = _local_invariants(f)
+    isotropic = f.dim >= 5 or not arf.is_in_wp or trivial
+    return _LocalClass(f.dim, arf, clifford, trivial, isotropic)
+
+
+def _non_norm_candidates(tw: FieldTower, a: FieldElement):
+    """t, then 1 + eps*t^j for odd j from 1 to -v(a), eps running over the
+    F_2-basis z^i of F_q; a is a reduced Arf class outside wp.
+
+    One of them is no norm from F(wp^-1(a)), F = F_q((t)): by local class
+    field theory the norms have index 2 in F^* (J.-P. Serre, Local Fields,
+    ch. XV), and [a, c) is nontrivial exactly for a non-norm c.  When
+    v(a) >= 0 the extension is unramified and t is no norm.  Otherwise
+    v(a) = -m with m odd, and Schmid's residue formula gives
+    [a, 1 + eps*t^m) = Tr(eps * a_{-m}), 1 for some basis element eps.
+    """
+    t = tw.gen(1)
+    yield t
+    m = -a.valuation(1) if a.level else 0
+    for j in range(1, m + 1, 2):
+        for i in range(tw.k):
+            yield tw.one() + tw.base_element(1 << i) * tw.monomial(1, j)
+
+
+def _local_kernel(g: QuadraticForm, record: _LocalClass) -> tuple | None:
+    """The anisotropic kernel, as pairs, of the nonsingular g of dimension 4
+    over F_q((t)) with the Arf and Clifford classes of `record`; None when
+    no `_non_norm_candidates` element fits.
+
+    Trivial Arf: hyperbolic when the class is trivial, else g itself.
+    Nontrivial Arf a: c[1,a] with [a, c) the Clifford class, c = 1 when that
+    class is trivial.
+    """
+    tw = g.tower
+    if record.arf.is_in_wp:
+        return () if record.trivial else g.pairs
+    a = record.arf.reduced
+    if record.trivial:
+        return ((tw.one(), a),)
+    for c in _non_norm_candidates(tw, a):
+        if class_trivial(record.clifford + Symbol(2, a, (c,))):
+            return ((c, a),)
+    return None
 
 
 # -- Witt decomposition ---------------------------------------------------------------
@@ -614,8 +725,21 @@ def _decompose_pairs(f: QuadraticForm, steps) -> tuple[int, tuple]:
         if len(pairs) == 1:
             steps.append({"step": "wild-kernel", "level": level})
             return 0, tuple(pairs)
-        # wild mixture: an exact zero still lets us split one plane off
         g = QuadraticForm(tw, tuple(pairs))
+        # over F_q((t)) two pairs are classified at once; more split a plane
+        # off first, at the exact zero that any three b-slots give, being
+        # dependent over the squares there ([F : F^2] = 2)
+        record = _local_classification(g) if len(pairs) == 2 else None
+        if record is not None:
+            kernel = _local_kernel(g, record)
+            if kernel is None:
+                raise UndecidableInstance(f"no kernel scalar found for {g} at level {level}")
+            index = len(pairs) - len(kernel)
+            steps.append({"step": "local-classification", "level": level, "dim": g.dim,
+                          "arf": str(record.arf.reduced), "class_trivial": record.trivial,
+                          "index": index, "kernel": _pair_strs(kernel)})
+            return index, kernel
+        # wild mixture: an exact zero still lets us split one plane off
         w = _diagonal_witness(g)
         if w is None:
             found = brute_search(g)
@@ -682,10 +806,14 @@ def witt_equivalent(f: QuadraticForm, g: QuadraticForm) -> bool:
 # -- bounded searches ------------------------------------------------------------------
 
 
-def candidate_scalars(tw: FieldTower, budget: int) -> list[FieldElement]:
-    """Deterministic candidate pool, grown with the budget."""
+def _check_budget(budget: int):
     if budget < 0:
         raise HypothesisViolated(f"a search budget is a count of at least 0, got {budget}")
+
+
+def candidate_scalars(tw: FieldTower, budget: int) -> list[FieldElement]:
+    """Deterministic candidate pool, grown with the budget."""
+    _check_budget(budget)
     out = [tw.zero(), tw.one()]
     out += [tw.base_element(b) for b in range(2, min(tw.order, 4 + budget // 256))]
     gens = [tw.gen(i) for i in range(1, tw.height + 1)]
@@ -899,6 +1027,22 @@ def _smooth_zero(g: QuadraticForm, inner) -> bool:
     return any(_parsed(g.tower, inner.get("witness"), g.dim)[: 2 * len(g.pairs)])
 
 
+def _local_invariants_hold(f: QuadraticForm, cert: dict, kind: str) -> bool:
+    """Whether the dimension, Arf class and class verdict that a
+    `local-invariants` certificate stores are those of f, or of f's
+    nonsingular part for an isotropic verdict stored with that part's
+    dimension, and force `kind` over F_q((t)) (`_local_classification`)."""
+    g = f
+    if kind == "isotropic" and f.quasilinear and cert.get("dim") != f.dim:
+        g = f.nonsingular_part()
+    if not _in_local_reach(g):
+        return False
+    arf, _, trivial = _local_invariants(g)
+    isotropic = g.dim >= 5 or not arf.is_in_wp or trivial
+    return (cert.get("dim") == g.dim and cert.get("arf") == str(arf.reduced)
+            and cert.get("class_trivial") is trivial and isotropic == (kind == "isotropic"))
+
+
 def _verify_cert(f: QuadraticForm, cert, kind: str) -> bool:
     """Each rule rebuilds its data from f and compares what the certificate
     stores with it; no rule calls the decider."""
@@ -906,6 +1050,8 @@ def _verify_cert(f: QuadraticForm, cert, kind: str) -> bool:
         return False
     tw = f.tower
     rule = cert.get("rule")
+    if rule == "local-invariants":
+        return _local_invariants_hold(f, cert, kind)
     if kind == "isotropic":
         if rule == "exact-zero":
             v = _parsed(tw, cert.get("witness"), f.dim)

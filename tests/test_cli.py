@@ -23,11 +23,24 @@ class TestVerbs:
         assert "anisotropic" in out
 
     def test_isotropy_undecidable_exit(self, capsys):
-        # wild mixture: two pairs with an irreducible pole in the a-slot
-        code, out = run(capsys, "isotropy", "--field", "F2((t))",
-                        "[1,1/t]+(1+t)*[1,1/t]", "--budget", "64")
+        # wild mixture at height 2: two pairs with an irreducible pole in
+        # the a-slot at the outer variable
+        code, out = run(capsys, "isotropy", "--field", "F2((t1))((t2))",
+                        "[1,1/t2]+(1+t2)*[1,1/t2]", "--budget", "64")
         assert code == 1
         assert "undecided" in out
+
+    def test_height_one_wild_mixture_is_decided(self, capsys):
+        # over F2((t)) the same shape has trivial Arf and the nontrivial
+        # class [1/t, 1+t): anisotropic by its invariants, at any budget
+        code, out = run(capsys, "isotropy", "--field", "F2((t))",
+                        "[1,1/t]+(1+t)*[1,1/t]", "--budget", "64", "--format", "json", "--no-meta")
+        assert code == 0
+        report = json.loads(out)
+        assert report["verdict"] == "anisotropic"
+        assert report["certificate"] == {
+            "rule": "local-invariants", "dim": 4, "arf": "0", "class_trivial": False,
+        }
 
     def test_mixed_residue_zero_lifts(self, capsys):
         # the unit residue [1,z^5]+<1>q has an exact zero, which gives a

@@ -276,7 +276,7 @@ class TestFormGrammar:
 
 WITT_TOWERS = [tower(1, ("t",)), tower(2, ("t",)), tower(1, ("t1", "t2"))]
 WITT_FORMS = 10
-WITT_SHA256 = "84212d2230f94be913094f6ecc49d3cf2ca29730f5c04cb3c5bc332278443d82"
+WITT_SHA256 = "e475052f0ffba6c2636c0625d697b17f0d6233e99233daa1ef17170a45515747"
 
 
 def _witt_scalar(tw, rng, terms):

@@ -3,13 +3,16 @@
 import hashlib
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+from qchar2.cohomology import class_trivial
 from qchar2.errors import HypothesisViolated, SingularInput
-from qchar2.fields import tower, wp
-from qchar2.forms import QuadraticForm, QuadraticPfister, orth_sum, scale
+from qchar2.fields import tower, wp, wp_reduce
+from qchar2.forms import QuadraticForm, QuadraticPfister, arf_sum, orth_sum, scale
+from qchar2.invariants import clifford
 from qchar2.linkage import augmented_sum_index_check, square_completion_isotropy
 from qchar2.parsing import parse_element, parse_field, parse_form
 from qchar2.suites import run_suite
@@ -448,6 +451,53 @@ def test_no_certificate_calls_the_decider(monkeypatch):
         assert verify_certificate(f, v), f
 
 
+LOCAL_CERT = {"rule": "local-invariants", "dim": 4, "arf": "0", "class_trivial": False}
+
+
+@pytest.mark.parametrize("field,text,kind", [
+    ("F2((t))", "[1,1/t]+(1+t)*[1,1/t]", "anisotropic"),
+    ("F2((t))", "[1,1/t]+(1+t)*[1,1/t]+<t>q", "isotropic"),
+    # found on the nonsingular part, stored with that part's dimension
+    ("F2((t))", "[1,1/t]+t*[1,1/t^3]+<t>q", "isotropic"),
+    ("F2^3((t))", "[1,z/t^3]+t*[1,1/t]", "isotropic"),
+])
+def test_local_invariants_certificates_verify(field, text, kind):
+    f = parse_form(parse_field(field), text)
+    v = isotropy(f)
+    assert v.kind == kind and v.certificate["rule"] == "local-invariants"
+    assert verify_certificate(f, v)
+
+
+@pytest.mark.parametrize("field,text,kind,change", [
+    # the decider's anisotropic record of [1,1/t]+(1+t)*[1,1/t] with one
+    # field wrong, of the wrong type, or missing
+    ("F2((t))", "[1,1/t]+(1+t)*[1,1/t]", "anisotropic", {"dim": 5}),
+    ("F2((t))", "[1,1/t]+(1+t)*[1,1/t]", "anisotropic", {"dim": "4"}),
+    ("F2((t))", "[1,1/t]+(1+t)*[1,1/t]", "anisotropic", {"arf": "1/t"}),
+    ("F2((t))", "[1,1/t]+(1+t)*[1,1/t]", "anisotropic", {"arf": 0}),
+    ("F2((t))", "[1,1/t]+(1+t)*[1,1/t]", "anisotropic", {"class_trivial": True}),
+    ("F2((t))", "[1,1/t]+(1+t)*[1,1/t]", "anisotropic", {"class_trivial": 0}),
+    ("F2((t))", "[1,1/t]+(1+t)*[1,1/t]", "anisotropic", {"dim": None}),
+    ("F2((t))", "[1,1/t]+(1+t)*[1,1/t]", "anisotropic", {"arf": None}),
+    ("F2((t))", "[1,1/t]+(1+t)*[1,1/t]", "anisotropic", {"class_trivial": None}),
+    # the verdict flipped, every stored invariant right
+    ("F2((t))", "[1,1/t]+(1+t)*[1,1/t]", "isotropic", {}),
+    # dimension 5 forces isotropy
+    ("F2((t))", "[1,1/t]+(1+t)*[1,1/t]+<t>q", "anisotropic", {"dim": 5}),
+    # the same shape over a height-2 tower, with the invariants it has there
+    ("F2((t1))((t2))", "[1,1/t2]+(1+t2)*[1,1/t2]", "anisotropic", {}),
+    # a mixed form of dimension 4, stored with its own dimension or its
+    # nonsingular part's, and the invariants of that part
+    ("F2((t))", "[1,1/t]+<1,t>q", "isotropic", {"arf": "1/t", "class_trivial": True}),
+    ("F2((t))", "[1,1/t]+<1,t>q", "isotropic", {"dim": 2, "arf": "1/t", "class_trivial": True}),
+])
+def test_forged_local_invariants_are_rejected(field, text, kind, change):
+    # False, never a traceback
+    f = parse_form(parse_field(field), text)
+    cert = {k: x for k, x in {**LOCAL_CERT, **change}.items() if x is not None}
+    assert not verify_certificate(f, IsotropyVerdict(kind, None, cert))
+
+
 @pytest.mark.parametrize("field,text", [
     ("F2^7", "[1,1]+<1>q"),
     ("F2^8", "[1,z^5]+<1>q"),
@@ -547,7 +597,7 @@ DECIDER_CHAINS = [
     ("F2^2((t))", "1", "t+(z+1)", "(z+1)/t", "(t^2+z)/t", "z+1"),
     ("F2((t1))((t2))", "t1/t2", "(1/t1)*t2+1", "(t2+(1/t1))/t2", "1/t2", "((1/t1)*t2+t1)/t2"),
 ]
-DECIDER_SHA256 = "126fc4e4914934eaab3e13e310a65a779cf80829fd36459759a1aca9ee966728"
+DECIDER_SHA256 = "9ff4a48c805abd95da14fe8e6e9bcd87fa639d7fe2fc815d79b16dabc58359fc"
 
 
 def _decider_form(tw, rng):
@@ -783,3 +833,92 @@ def _polynomial_at_every_level(x):
         return True
     num, den = x.coefficients()
     return den == (x.tower.one(),) and all(_polynomial_at_every_level(c) for c in num)
+
+
+# -- the classification over F_q((t)) ------------------------------------------------
+#
+# Over F_q((t)) a wild mixture is decided by its dimension, Arf class and
+# Clifford class, with no search.  The forms are drawn the way perfbench's
+# `wild` workload draws them (b = t^e * unit with e in {0, 1}, a = unit / t^p),
+# with poles down to -5 over F2((t)) and -3 over F4((t)) and F8((t)), in
+# dimension 4, 6 and, with one quasilinear entry, 5.  In the cells marked
+# `trivial`, the last a-slot is the sum of the others plus wp of a unit over
+# t^2, so the Arf class is trivial and the Clifford class decides.
+
+LOCAL_CELLS = [
+    # (base exponent, deepest pole, pairs, pairs with a pole, trivial Arf, entries, forms)
+    (1, 5, 2, 2, False, 0, 16),
+    (1, 5, 2, 1, False, 0, 16),
+    (1, 5, 2, 2, True, 0, 16),
+    (2, 3, 2, 2, False, 0, 8),
+    (2, 3, 2, 2, True, 0, 8),
+    (3, 3, 2, 2, False, 0, 6),
+    (1, 5, 3, 2, False, 0, 6),
+    (1, 5, 3, 3, True, 0, 8),
+    (1, 5, 2, 2, False, 1, 8),
+]
+LOCAL_SEARCH_BUDGET = 20000
+
+
+def _local_unit(tw, rng):
+    """A fraction of two polynomials in t with nonzero constant terms."""
+    def poly(degree):
+        out = tw.base_element(rng.randrange(1, tw.order))
+        for i in range(1, degree + 1):
+            bits = rng.randrange(1 if i == degree else 0, tw.order)
+            out = out + tw.base_element(bits) * tw.monomial(1, i)
+        return out
+
+    return poly(rng.randrange(4)) / poly(rng.randrange(3))
+
+
+def _local_form(tw, rng, deepest, pairs, poles, trivial, entries):
+    t = tw.gen(1)
+    slots = [
+        (_local_unit(tw, rng) * t ** rng.randrange(2),
+         _local_unit(tw, rng) / t ** (rng.randrange(1, deepest + 1) if j < poles else 0))
+        for j in range(pairs)
+    ]
+    if trivial:
+        b, _ = slots[-1]
+        r = _local_unit(tw, rng) / t ** 2
+        slots[-1] = (b, sum((a for _, a in slots[:-1]), r * r + r))
+    ql = tuple(_local_unit(tw, rng) * t ** rng.randrange(2) for _ in range(entries))
+    return QuadraticForm(tw, tuple(slots), ql)
+
+
+def _kernel_kind(d):
+    """Which of the classification's kernels d has: hyperbolic, the
+    classified form's own pairs, c[1,a] with c = 1 or with c a non-norm;
+    None when the decomposition ended elsewhere."""
+    if not d.proof or d.proof[-1]["step"] != "local-classification":
+        return None
+    pairs = d.kernel.pairs
+    if len(pairs) != 1:
+        return "own" if pairs else "hyperbolic"
+    return "c = 1" if pairs[0][0].is_one() else "non-norm c"
+
+
+def test_local_classification_agrees_with_search_and_decomposition():
+    verdicts, kernels = Counter(), Counter()
+    for i, (k, deepest, pairs, poles, trivial, entries, n) in enumerate(LOCAL_CELLS):
+        tw = tower(k, ("t",))
+        rng = random.Random(2500 + i)
+        for _ in range(n):
+            f = _local_form(tw, rng, deepest, pairs, poles, trivial, entries)
+            v = isotropy(f)
+            assert v.decided and verify_certificate(f, v), f
+            d = witt_decompose(f)
+            ns, kernel = f.nonsingular_part(), d.kernel.nonsingular_part()
+            # the kernel is anisotropic and has the input's Arf and Clifford classes
+            assert wp_reduce(arf_sum(ns) + arf_sum(kernel)).is_in_wp, f
+            assert class_trivial(clifford(ns) + clifford(kernel)), f
+            assert not isotropy(kernel).is_isotropic, f
+            if not f.quasilinear:
+                assert v.is_isotropic == (d.index > 0), f
+            if v.is_anisotropic:
+                assert not brute_search(f, LOCAL_SEARCH_BUDGET).is_isotropic, f
+            verdicts[v.kind, v.certificate["rule"]] += 1
+            kernels[_kernel_kind(d)] += 1
+    assert verdicts["anisotropic", "local-invariants"] and verdicts["isotropic", "local-invariants"]
+    assert all(kernels[kind] for kind in ("hyperbolic", "own", "c = 1", "non-norm c")), kernels
