@@ -15,6 +15,11 @@ tame, or until a step shows the class nontrivial.  At the perfect base
 field every degree >= 2 class is trivial and degree-1 classes are
 Artin-Schreier membership, which is the trace.  At height 1 in degree 2
 this is Schmid's residue trace.  No step searches, so no budget applies.
+
+The decision and the display are kept apart.  `class_trivial` reduces
+coefficients modulo wp and takes slots as given; `simplify`, and the
+public `symbol_residue` that ends in it, canonicalize a sum for printing
+(square-free sorted slots, merged symbols), which no verdict needs.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from .fields import (
     exact_tail_reduce,
     laurent_coefficients,
     strip_even_power,
+    t_power_shift,
     wp_reduce,
 )
 from .forms import QuadraticPfister
@@ -156,9 +162,10 @@ def _normalize_symbol(s: Symbol) -> Symbol | None:
 
 
 def simplify(s: SymbolSum) -> SymbolSum:
-    """Canonical cleanup: reduced coefficients, square-free sorted slots,
-    doubled symbols cancelled, equal-slot symbols merged, one slot-merge
-    pass for equal coefficients."""
+    """Canonical cleanup for display: reduced coefficients, square-free
+    sorted slots, doubled symbols cancelled, equal-slot symbols merged, one
+    slot-merge pass for equal coefficients.  `class_trivial` never calls
+    it."""
     by_slots: dict = {}
     for sym in s.symbols:
         n = _normalize_symbol(sym)
@@ -270,14 +277,22 @@ def basis_rewrite(w: DifferentialForm, tw: FieldTower) -> SymbolSum:
 
 
 def symbol_residue(s: SymbolSum, level: int) -> tuple[SymbolSum, SymbolSum]:
-    """(unramified part, ramified part), both one level down.
+    """(unramified part, ramified part), both one level down and simplified.
 
     Tameness required: coefficients reduce to nonnegative valuation, every
     slot is a unit or t * unit modulo squares.  A slot t*u contributes its
     dt/t factor to the ramified side (degree drops by one) and du/u to the
     unramified side; coefficients are residued, their positive-valuation
-    tails being Artin-Schreier trivial by the series solution.
+    tails being Artin-Schreier trivial by the series solution.  The
+    `simplify` at the end is for display; `class_trivial` recurses on the
+    raw parts.
     """
+    unram, ram = _residues(s, level)
+    return simplify(unram), simplify(ram)
+
+
+def _residues(s: SymbolSum, level: int) -> tuple[SymbolSum, SymbolSum]:
+    """`symbol_residue` before its closing `simplify`."""
     unram = []
     ram = []
     for sym in s.symbols:
@@ -292,7 +307,7 @@ def symbol_residue(s: SymbolSum, level: int) -> tuple[SymbolSum, SymbolSum]:
             if v == 0:
                 decomp.append((False, nb))
             else:
-                decomp.append((True, nb / nb.tower.monomial(level, 1)))
+                decomp.append((True, t_power_shift(nb, level, -1)))
         if a0.is_zero():
             continue
         # per slot: "u" always, and "t" too when the slot carries an odd t-power
@@ -310,10 +325,7 @@ def symbol_residue(s: SymbolSum, level: int) -> tuple[SymbolSum, SymbolSum]:
                 ram.append(Symbol(sym.degree - 1, a0, res_slots))
             else:
                 unram.append(Symbol(sym.degree, a0, res_slots))
-    return (
-        simplify(SymbolSum(s.degree, tuple(unram))),
-        simplify(SymbolSum(s.degree - 1, tuple(ram))),
-    )
+    return SymbolSum(s.degree, tuple(unram)), SymbolSum(s.degree - 1, tuple(ram))
 
 
 # -- triviality ------------------------------------------------------------------------
@@ -324,9 +336,15 @@ def class_trivial(s: SymbolSum) -> bool:
 
     Residue recursion on tame sums; a wild sum has its poles at the top
     level lowered first (`_lower_poles`), which may already show the class
-    nontrivial.
+    nontrivial.  The recursion does only what the verdict needs
+    (`_reduce_coefficients`): each coefficient is replaced by its
+    `wp_reduce` representative and a coefficient in wp drops its symbol,
+    but slots are taken as given, with no square test, no sorting and no
+    merging (`simplify`, which is for display), and the parts come from
+    `_residues`, unsimplified.  Reducing the coefficients is what keeps the
+    lower-level sums short: wp terms left in would pile up level by level.
     """
-    s = simplify(s)
+    s = _reduce_coefficients(s)
     if not s.symbols:
         return True
     tw = s.symbols[0].coefficient.tower
@@ -341,15 +359,30 @@ def class_trivial(s: SymbolSum) -> bool:
     if level == 0:
         return True   # perfect base field: no nonzero differentials
     try:
-        unram, ram = symbol_residue(s, level)
+        unram, ram = _residues(s, level)
     except WildSymbol:
         tame = _lower_poles(s, level)
         if tame is None:
             return False
-        unram, ram = symbol_residue(tame, level)
-    r_unram = class_trivial(unram)
-    r_ram = class_trivial(ram)
-    return r_unram and r_ram
+        unram, ram = _residues(tame, level)
+    # a global-name call: a wrapper bound in this module sees every level
+    return class_trivial(unram) and class_trivial(ram)
+
+
+def _reduce_coefficients(s: SymbolSum) -> SymbolSum:
+    """s with each coefficient replaced by its wp_reduce representative;
+    a symbol drops when its coefficient lies in wp, a slot is 1 or two
+    slots are equal.  Slots are compared as given, never normalized."""
+    out = []
+    for sym in s.symbols:
+        slots = sym.slots
+        if any(b.is_one() for b in slots) or len(set(slots)) < len(slots):
+            continue
+        r = wp_reduce(sym.coefficient)
+        if r.is_in_wp:
+            continue
+        out.append(sym if r.reduced is sym.coefficient else Symbol(sym.degree, r.reduced, sym.slots))
+    return SymbolSum(s.degree, tuple(out))
 
 
 def _lower_poles(s: SymbolSum, level: int) -> SymbolSum | None:

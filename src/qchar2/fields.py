@@ -32,7 +32,11 @@ the fraction path (Henrici's rational arithmetic, Knuth, TAOCP Vol. 2,
 §4.5.1): for a canonical n/d at level j and a nonzero c below level j,
 c is a unit of the coefficient field, so c*n/d is coprime, and
 gcd(n + c*d, d) = gcd(n, d) = 1, so (n + c*d)/d is too; the denominator
-is unchanged and neither result can collapse to a constant.
+is unchanged and neither result can collapse to a constant.  The shift
+x*t_j^e of a canonical n/d at level j (`t_power_shift`) skips it too:
+gcd(n*t^e, d) = t^min(e, v(d)) for e > 0 (and symmetrically for e < 0),
+so only that t-power is cancelled, and the lowest coefficient of the
+shifted denominator is still 1.
 
 Semantic questions (squareness, Artin-Schreier membership, valuations)
 are answered against the *complete* field, even though representatives
@@ -222,10 +226,11 @@ def tower(base_exponent: int, variable_names: tuple[str, ...] = ()) -> FieldTowe
 # -- polynomial rings, one per tower level ---------------------------------------
 #
 # Each offers `lift` (a lower-level element as a constant), `zero`, `one`,
-# `monomial`, `add`, `mul`, `fraction` (the canonical element num/den),
-# `coprime_fraction` (the same for coprime num and den, without the gcd),
-# `val`, `coeffs` (ascending coefficient tuple), `derive` (in the ring's own
-# variable) and `sqrt` (of a polynomial, or None); level 0 only the first few.
+# `monomial`, `shift` (times t^e, e >= -val), `add`, `mul`, `fraction` (the
+# canonical element num/den), `coprime_fraction` (the same for coprime num
+# and den, without the gcd), `val`, `coeffs` (ascending coefficient tuple),
+# `derive` (in the ring's own variable) and `sqrt` (of a polynomial, or
+# None); level 0 only the first few.
 
 
 class _Ring:
@@ -304,6 +309,9 @@ class _PackedRing(_Ring):
 
     def monomial(self, e):
         return 1 << e * self._w
+
+    def shift(self, a, e):
+        return a << e * self._w if e >= 0 else a >> -e * self._w
 
     def add(self, a, b):
         return a ^ b
@@ -453,6 +461,9 @@ class _TupleRing(_Ring):
 
     def monomial(self, e):
         return (self._zero,) * e + self.one
+
+    def shift(self, a, e):
+        return (self._zero,) * e + a if e >= 0 else a[-e:]
 
     @staticmethod
     def _norm(cs):
@@ -855,8 +866,13 @@ def clearing_scale(tw: FieldTower, xs) -> FieldElement:
 class WpNormalForm:
     """Result of reducing x modulo wp(F), where wp(y) = y^2 + y.
 
-    `reduced` is the canonical representative of x + wp(F): a negative
-    odd-valuation tail, or the canonical trace-one base element, or 0.
+    `reduced` is a representative of x + wp(F), not a canonical one: an
+    element with an irreducible pole (odd valuation or non-square leading
+    coefficient) in its own variable, or the canonical trace-one base
+    element, or 0.  The pole loop stops at the first irreducible pole and
+    keeps the even poles below it, so equal classes can print differently:
+    [1,1/t^3+1/t^2] reduces to (t+1)/t^3 and [1,1/t^3+1/t] to
+    (t^2+1)/t^3.  `is_in_wp` is exact either way.
     `correction` satisfies x = reduced + wp(correction) exactly when
     `correction_exact` is set; otherwise the identity holds modulo a tail
     of t-valuation beyond DEFAULT_WP_PRECISION.
@@ -936,7 +952,7 @@ def _lower_even_poles(cur: FieldElement, level: int):
         v = cur.valuation(level)
         if v % 2 != 0:
             return cur, steps, True
-        root = (cur * tw.monomial(level, -v)).residue(level).sqrt()
+        root = t_power_shift(cur, level, -v).residue(level).sqrt()
         if root is None:
             return cur, steps, True
         steps.append(root * tw.monomial(level, v // 2))
@@ -944,14 +960,28 @@ def _lower_even_poles(cur: FieldElement, level: int):
     return cur, steps, False
 
 
+def t_power_shift(x: FieldElement, level: int, e: int) -> FieldElement:
+    """x * t_level^e without the gcd when x lives at `level` (see the module
+    docstring); at any other level, the product with the monomial."""
+    if e == 0 or x.is_zero():
+        return x
+    if x.level != level:
+        return x * x.tower.monomial(level, e)
+    ring = x.tower._rings[level]
+    # only the common t-power can cancel: gcd(n*t^e, d) = t^min(e, v(d))
+    if e > 0:
+        k = min(e, ring.val(x.den))
+        return ring.coprime_fraction(ring.shift(x.num, e - k), ring.shift(x.den, -k))
+    k = min(-e, ring.val(x.num))
+    return ring.coprime_fraction(ring.shift(x.num, -k), ring.shift(x.den, -e - k))
+
+
 def strip_even_power(b: FieldElement, level: int) -> FieldElement:
     """b times an even power of t_level so the valuation lands in {0,1}."""
     if b.level < level:
         return b
     half = b.valuation(level) // 2   # floor keeps the remainder in {0,1}
-    if half:
-        return b * b.tower.monomial(level, -2 * half)
-    return b
+    return t_power_shift(b, level, -2 * half)
 
 
 def laurent_coefficients(x: FieldElement, level: int, low: int, n: int) -> list[FieldElement]:

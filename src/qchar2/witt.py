@@ -59,6 +59,7 @@ from .fields import (
     clearing_scale,
     exact_tail_reduce,
     strip_even_power,
+    t_power_shift,
     wp_reduce,
 )
 from .forms import QuadraticForm, orth_sum, split_plane
@@ -317,17 +318,16 @@ def _springer_split(tw, pairs, ql, level):
     f2)), each list naming the coordinates of f that carry the residue
     form's, in its order.
     """
-    t = tw.gen(level)
     # index 0 collects the unit part, index 1 the t part
     coords, res, ql_coords, ql_res = ([], []), ([], []), ([], []), ([], [])
     for i, (b, a) in enumerate(pairs):
         odd = b.valuation(level) != 0
         coords[odd].extend((2 * i, 2 * i + 1))
-        res[odd].append(((b / t if odd else b).residue(level), a.residue(level)))
+        res[odd].append(((t_power_shift(b, level, -1) if odd else b).residue(level), a.residue(level)))
     for j, c in enumerate(ql):
         odd = c.valuation(level) != 0
         ql_coords[odd].append(2 * len(pairs) + j)
-        ql_res[odd].append((c / t if odd else c).residue(level))
+        ql_res[odd].append((t_power_shift(c, level, -1) if odd else c).residue(level))
     return tuple(
         (coords[k] + ql_coords[k], QuadraticForm(tw, tuple(res[k]), tuple(ql_res[k])))
         for k in (0, 1)
@@ -924,15 +924,13 @@ def _approx_sqrt(x: FieldElement):
     v = x.valuation(level)
     if v % 2:
         return None
-    tw = x.tower
-    y = x * tw.monomial(level, -v)
-    res = y.residue(level)
+    res = t_power_shift(x, level, -v).residue(level)
     if res.is_zero():
         return None
     rs = _approx_sqrt(res)
     if rs is None:
         return None
-    return rs * tw.monomial(level, v // 2)
+    return t_power_shift(rs, level, v // 2)
 
 
 def square_completion_isotropy(f: QuadraticForm, budget: int) -> IsotropyVerdict | None:
