@@ -336,13 +336,11 @@ def class_trivial(s: SymbolSum) -> bool:
 
     Residue recursion on tame sums; a wild sum has its poles at the top
     level lowered first (`_lower_poles`), which may already show the class
-    nontrivial.  The recursion does only what the verdict needs
-    (`_reduce_coefficients`): each coefficient is replaced by its
-    `wp_reduce` representative and a coefficient in wp drops its symbol,
-    but slots are taken as given, with no square test, no sorting and no
-    merging (`simplify`, which is for display), and the parts come from
-    `_residues`, unsimplified.  Reducing the coefficients is what keeps the
-    lower-level sums short: wp terms left in would pile up level by level.
+    nontrivial.  Each level only reduces coefficients modulo wp
+    (`_reduce_coefficients`) and recurses on the raw parts from
+    `_residues`; slots are never square-tested, sorted or merged, which is
+    `simplify`'s display work.  The reduction is what keeps the lower-level
+    sums short: wp terms left in would pile up level by level.
     """
     s = _reduce_coefficients(s)
     if not s.symbols:

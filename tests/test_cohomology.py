@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qchar2.cohomology as cohomology
 from qchar2.cohomology import (
     DifferentialForm,
     SymbolSum,
+    _lower_poles,
     basis_rewrite,
     class_trivial,
     simplify,
@@ -21,7 +23,7 @@ from qchar2.cohomology import (
     zero_sum,
 )
 from qchar2.errors import WildSymbol
-from qchar2.fields import tower
+from qchar2.fields import tower, wp_reduce
 from qchar2.forms import QuadraticForm
 from qchar2.invariants import clifford
 from qchar2.parsing import format_symbol_sum, parse_element, parse_symbol_sum
@@ -456,6 +458,71 @@ def test_nontrivial_classes_pair_nontrivially():
         assert verdict is not any(top_residue_trace(cup(x, (b,))) for b in pool), str(x)
         verdicts.append(verdict)
     assert verdicts.count(False) >= 10 and verdicts.count(True) >= 3
+
+
+# -- the decision path against the simplifying one ----------------------------------
+#
+# `class_trivial` recurses on raw residue parts with reduced coefficients and
+# never canonicalizes a sum.  The reference simplifies first and recurses
+# through the public `symbol_residue`; the two must agree on every sum.
+
+LEAN_TOWERS = {**REDUCTION_TOWERS, "F4((t1))((t2))": tower(2, ("t1", "t2"))}
+
+
+def simplified_recursion(s):
+    """class_trivial through `simplify` and `symbol_residue` at every level."""
+    s = simplify(s)
+    if not s.symbols:
+        return True
+    tw = s.symbols[0].coefficient.tower
+    if s.degree == 1:
+        return wp_reduce(sum((x.coefficient for x in s.symbols), tw.zero())).is_in_wp
+    level = max(max(x.coefficient.level, *(b.level for b in x.slots)) for x in s.symbols)
+    if level == 0:
+        return True
+    try:
+        unram, ram = symbol_residue(s, level)
+    except WildSymbol:
+        tame = _lower_poles(s, level)
+        if tame is None:
+            return False
+        unram, ram = symbol_residue(tame, level)
+    return simplified_recursion(unram) and simplified_recursion(ram)
+
+
+@pytest.fixture(scope="module")
+def lean_path_corpus():
+    """Seeded sums x, x + w (w trivial) and u + w (u tame) over six towers,
+    in every degree from 1 to height + 1."""
+    out = []
+    for i, tw in enumerate(LEAN_TOWERS.values()):
+        for degree in range(1, tw.height + 2):
+            rng = random.Random(100 * i + degree)
+            for _ in range(11):
+                x = random_sum(tw, rng, degree, 1 + rng.randrange(2 if tw.height == 3 else 3))
+                if rng.random() < 0.5:
+                    x = x + tame_sum(tw, rng, degree)
+                w = trivial_sum(tw, rng, degree)
+                out += [x, x + w, tame_sum(tw, rng, degree) + w]
+    return out
+
+
+def test_decision_agrees_with_the_simplifying_recursion(lean_path_corpus):
+    verdicts = []
+    for s in lean_path_corpus:
+        verdict = class_trivial(s)
+        assert verdict is simplified_recursion(s), str(s)
+        verdicts.append(verdict)
+    assert len(verdicts) == 528
+    assert verdicts.count(True) >= 100 and verdicts.count(False) >= 100
+
+
+def test_decision_never_canonicalizes(lean_path_corpus, monkeypatch):
+    # simplify is for display; a verdict needs none of it
+    for name in ("simplify", "_normalize_symbol"):
+        monkeypatch.setattr(cohomology, name, lambda *a, name=name: pytest.fail(f"{name} in class_trivial"))
+    for s in lean_path_corpus:
+        class_trivial(s)
 
 
 def perfbench_style_wild_forms(tw, rng, poles, tame, count):

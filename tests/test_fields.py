@@ -9,7 +9,8 @@ from hypothesis import given, seed, settings, strategies as st
 
 from qchar2.errors import LevelError, NegativeValuation, ZeroInput
 from qchar2.fields import (
-    DEFAULT_WP_PRECISION, _PackedRing, _TupleRing, clearing_scale, tower, wp, wp_reduce,
+    DEFAULT_WP_PRECISION, _PackedRing, _TupleRing, clearing_scale, t_power_shift, tower, wp,
+    wp_reduce,
 )
 from qchar2.parsing import format_element, parse_element, parse_field
 
@@ -472,6 +473,53 @@ def test_mixed_level_operations_skip_the_gcd(monkeypatch):
     product = _generic(x, c, "*")
     monkeypatch.setattr(ring, "_divmod", lambda *a: pytest.fail("gcd in a mixed-level product"))
     assert x * c == product and c * x == product
+
+
+# -- t-power shifts -----------------------------------------------------------------
+#
+# x * t_j^e for a canonical n/d at level j cancels only the common t-power;
+# it must give what the product with the monomial gives, at every level.
+
+SHIFT_TOWERS = [
+    tower(1, ("t",)), tower(2, ("t",)), tower(3, ("t",)), tower(1, ("t1", "t2")),
+    tower(2, ("t1", "t2")), tower(1, ("t1", "t2", "t3")),
+]
+
+
+@pytest.mark.parametrize("tw", SHIFT_TOWERS, ids=lambda tw: tw.descriptor())
+@seed(20260)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_t_power_shift_matches_the_monomial_product(tw, data):
+    # at height 3 the elements stay small: one term over one term
+    own = data.draw(st.integers(1, tw.height))
+    x = data.draw(_at_level(tw, own, 1 if tw.height == 3 else 2))
+    assert t_power_shift(x, own, 0) is x
+    for level in range(1, tw.height + 1):
+        e = data.draw(st.integers(-5, 5))
+        got, want = t_power_shift(x, level, e), x * tw.monomial(level, e)
+        assert got == want and hash(got) == hash(want) and str(got) == str(want), (str(x), level, e)
+        assert _parts(got) == _parts(want)
+
+
+def test_t_power_shift_skips_the_gcd(monkeypatch):
+    # only the t-power common to n*t^e and d can cancel; a constant
+    # quotient still collapses to the shared constant
+    for tw, text, level, e, want in [
+        (F2TT, "(t1*t2^2+t2+1)/(t2^3+t1*t2^2)", 2, 3, "(t1*t2^3+t2^2+t2)/(t2+t1)"),
+        (F2TT, "(t1*t2^2+t2^3)/(t2+1)", 2, -2, "(t2+t1)/(t2+1)"),
+        (PACKED_TOWERS[2], "(z*t^3+t)/(t^2+z)", 1, -1, "(z*t^2+1)/(t^2+z)"),
+        (PACKED_TOWERS[1], "t^3", 1, -3, "1"),
+    ]:
+        x, ring = el(tw, text), tw._rings[level]
+        for name in ("_divmod", "_gcd"):
+            if hasattr(ring, name):
+                monkeypatch.setattr(ring, name, lambda *a: pytest.fail("gcd in a t-power shift"))
+        got = t_power_shift(x, level, e)
+        monkeypatch.undo()
+        assert got == el(tw, want) == x * tw.monomial(level, e)
+    assert t_power_shift(el(F2T, "t^2"), 1, -2) is F2T.one()
+    assert t_power_shift(F2T.zero(), 1, 4) is F2T.zero()
 
 
 @pytest.mark.parametrize("tw", MIXED_TOWERS[:4], ids=lambda tw: tw.descriptor())
