@@ -16,10 +16,11 @@ field every degree >= 2 class is trivial and degree-1 classes are
 Artin-Schreier membership, which is the trace.  At height 1 in degree 2
 this is Schmid's residue trace.  No step searches, so no budget applies.
 
-The decision and the display are kept apart.  `class_trivial` reduces
-coefficients modulo wp and takes slots as given; `simplify`, and the
-public `symbol_residue` that ends in it, canonicalize a sum for printing
-(square-free sorted slots, merged symbols), which no verdict needs.
+The decision and the display are kept apart.  `class_trivial` recurses
+on plain (coefficient, slots) terms, reduces coefficients modulo wp and
+takes slots as given; `simplify`, and the public `symbol_residue` that
+ends in it, canonicalize a sum for printing (square-free sorted slots,
+merged symbols), which no verdict needs.
 """
 
 from __future__ import annotations
@@ -287,45 +288,39 @@ def symbol_residue(s: SymbolSum, level: int) -> tuple[SymbolSum, SymbolSum]:
     `simplify` at the end is for display; `class_trivial` recurses on the
     raw parts.
     """
-    unram, ram = _residues(s, level)
-    return simplify(unram), simplify(ram)
+    parts = _residue_terms(_terms(s), level)
+    if parts is None:
+        raise WildSymbol(f"a coefficient is wild at level {level}")
+    return tuple(simplify(SymbolSum(n, tuple(Symbol(n, a, b) for a, b in part)))
+                 for n, part in zip((s.degree, s.degree - 1), parts))
 
 
-def _residues(s: SymbolSum, level: int) -> tuple[SymbolSum, SymbolSum]:
-    """`symbol_residue` before its closing `simplify`."""
-    unram = []
-    ram = []
-    for sym in s.symbols:
-        a, wild = exact_tail_reduce(sym.coefficient, level)
+def _terms(s: SymbolSum) -> list:
+    return [(sym.coefficient, sym.slots) for sym in s.symbols]
+
+
+def _residue_terms(terms: list, level: int) -> tuple[list, list] | None:
+    """The unramified and ramified parts of a sum of (coefficient, slots)
+    terms, raw, as term lists one level down; None when a coefficient is
+    wild.  A unit slot's residue never vanishes; a residue 1 is left for
+    the next level's cleanup to drop."""
+    unram, ram = [], []
+    for coeff, slots in terms:
+        a, wild = exact_tail_reduce(coeff, level)
         if wild:
-            raise WildSymbol(f"coefficient {sym.coefficient} is wild at level {level}")
+            return None
         a0 = a.residue(level)
-        decomp = []
-        for b in sym.slots:
-            nb = strip_even_power(b, level)
-            v = nb.valuation(level) if nb.level == level else 0
-            if v == 0:
-                decomp.append((False, nb))
-            else:
-                decomp.append((True, t_power_shift(nb, level, -1)))
         if a0.is_zero():
             continue
-        # per slot: "u" always, and "t" too when the slot carries an odd t-power
-        for choice in product(*(("u", "t") if has_t else ("u",) for has_t, _ in decomp)):
-            t_count = sum(1 for kind in choice if kind == "t")
-            if t_count > 1:
-                continue
-            units = [u for kind, (_, u) in zip(choice, decomp) if kind == "u"]
-            if any(u.is_one() for u in units):
-                continue          # a d(1)/1 factor kills the term
-            res_slots = tuple(u.residue(level) for u in units)
-            if any(r.is_zero() for r in res_slots):
-                raise WildSymbol("unit slot with vanishing residue")
-            if t_count == 1:
-                ram.append(Symbol(sym.degree - 1, a0, res_slots))
-            else:
-                unram.append(Symbol(sym.degree, a0, res_slots))
-    return SymbolSum(s.degree, tuple(unram)), SymbolSum(s.degree - 1, tuple(ram))
+        units, odd = [], []
+        for b in slots:
+            nb = strip_even_power(b, level)
+            has_t = nb.level == level and nb.valuation(level) == 1
+            odd.append(has_t)
+            units.append((t_power_shift(nb, level, -1) if has_t else nb).residue(level))
+        unram.append((a0, tuple(units)))
+        ram += [(a0, tuple(units[:i] + units[i + 1:])) for i, has_t in enumerate(odd) if has_t]
+    return unram, ram
 
 
 # -- triviality ------------------------------------------------------------------------
@@ -336,51 +331,38 @@ def class_trivial(s: SymbolSum) -> bool:
 
     Residue recursion on tame sums; a wild sum has its poles at the top
     level lowered first (`_lower_poles`), which may already show the class
-    nontrivial.  Each level only reduces coefficients modulo wp
-    (`_reduce_coefficients`) and recurses on the raw parts from
-    `_residues`; slots are never square-tested, sorted or merged, which is
-    `simplify`'s display work.  The reduction is what keeps the lower-level
-    sums short: wp terms left in would pile up level by level.
+    nontrivial.  The recursion runs on plain (coefficient, slots) terms
+    and builds symbols only for `_lower_poles`.  Each level reduces
+    coefficients modulo wp and recurses on the raw parts of
+    `_residue_terms`; slots are never square-tested, sorted or merged,
+    which is `simplify`'s display work.  The reduction is what keeps the
+    lower-level sums short: wp terms left in would pile up level by level.
     """
-    s = _reduce_coefficients(s)
-    if not s.symbols:
+    return _terms_trivial(s.degree, _terms(s))
+
+
+def _terms_trivial(degree: int, terms: list) -> bool:
+    # reduce: a term drops when its coefficient lies in wp, a slot is 1 or
+    # two slots are equal, slots compared as given
+    terms = [
+        (r.reduced, slots) for coeff, slots in terms
+        if not any(b.is_one() for b in slots) and (len(slots) < 2 or len(set(slots)) == len(slots))
+        and not (r := wp_reduce(coeff)).is_in_wp
+    ]
+    if not terms:
         return True
-    tw = s.symbols[0].coefficient.tower
-    if s.degree == 1:
-        total = tw.zero()
-        for sym in s.symbols:
-            total = total + sym.coefficient
-        return wp_reduce(total).is_in_wp
-    level = 0
-    for sym in s.symbols:
-        level = max(level, sym.coefficient.level, *(b.level for b in sym.slots), 0)
+    if degree == 1:
+        return wp_reduce(sum((a for a, _ in terms[1:]), terms[0][0])).is_in_wp
+    level = max(max(a.level, *(b.level for b in slots)) for a, slots in terms)
     if level == 0:
         return True   # perfect base field: no nonzero differentials
-    try:
-        unram, ram = _residues(s, level)
-    except WildSymbol:
-        tame = _lower_poles(s, level)
+    parts = _residue_terms(terms, level)
+    if parts is None:
+        tame = _lower_poles(SymbolSum(degree, tuple(Symbol(degree, a, b) for a, b in terms)), level)
         if tame is None:
             return False
-        unram, ram = _residues(tame, level)
-    # a global-name call: a wrapper bound in this module sees every level
-    return class_trivial(unram) and class_trivial(ram)
-
-
-def _reduce_coefficients(s: SymbolSum) -> SymbolSum:
-    """s with each coefficient replaced by its wp_reduce representative;
-    a symbol drops when its coefficient lies in wp, a slot is 1 or two
-    slots are equal.  Slots are compared as given, never normalized."""
-    out = []
-    for sym in s.symbols:
-        slots = sym.slots
-        if any(b.is_one() for b in slots) or len(set(slots)) < len(slots):
-            continue
-        r = wp_reduce(sym.coefficient)
-        if r.is_in_wp:
-            continue
-        out.append(sym if r.reduced is sym.coefficient else Symbol(sym.degree, r.reduced, sym.slots))
-    return SymbolSum(s.degree, tuple(out))
+        parts = _residue_terms(_terms(tame), level)
+    return _terms_trivial(degree, parts[0]) and _terms_trivial(degree - 1, parts[1])
 
 
 def _lower_poles(s: SymbolSum, level: int) -> SymbolSum | None:

@@ -23,14 +23,17 @@ nonzero coefficient is 1, constant fractions collapsed to the lower
 level), so structural equality coincides with field equality and
 elements are hashable.  `tower()` interns towers, one per (k, names).
 
-Each tower builds its 2^k level-0 elements once (`FieldTower._constants`),
-and every level-0 result of the arithmetic is one of them; equality still
-goes by value, since an unpickled element is a fresh object.  An element
+Each tower builds its 2^k level-0 elements once
+(`FieldTower._constants`), and every level-0 result of the arithmetic is
+one of them; equality still goes by value, since an unpickled element is
+a fresh object.  Its generators are built once too (`gen` returns the
+shared t_j), and its `height` is a plain attribute.  `residue` reads the
+one coefficient it returns, not the whole coefficient tuple.  An element
 keeps its printed form (`parsing.format_element`) once it has been asked
-for, as it keeps its hash.  Two mixed-level operations skip the gcd of
-the fraction path (Henrici's rational arithmetic, Knuth, TAOCP Vol. 2,
-§4.5.1): for a canonical n/d at level j and a nonzero c below level j,
-c is a unit of the coefficient field, so c*n/d is coprime, and
+for, as its hash.  Two mixed-level operations skip the gcd of the
+fraction path (Henrici's rational arithmetic, Knuth, TAOCP Vol. 2,
+§4.5.1): for a canonical n/d at level j and a nonzero c below level j, c
+is a unit of the coefficient field, so c*n/d is coprime, and
 gcd(n + c*d, d) = gcd(n, d) = 1, so (n + c*d)/d is too; the denominator
 is unchanged and neither result can collapse to a constant.  The shift
 x*t_j^e of a canonical n/d at level j (`t_power_shift`) skips it too:
@@ -83,6 +86,7 @@ class FieldTower:
             raise UnsupportedField(f"duplicate variable names in {names}")
         self.k = base_exponent
         self.names = names
+        self.height = len(names)
         self._build_base_tables()
         self._constants = tuple(FieldElement._constant(self, bits) for bits in range(self.order))
         # the one choice of polynomial representation, per level
@@ -91,6 +95,7 @@ class FieldTower:
             packed(self) if level == 1 else _TupleRing(self, level)
             for level in range(1, len(names) + 1)
         )
+        self._gens = tuple(self.monomial(level, 1) for level in range(1, len(names) + 1))
 
     # -- base-field machinery ------------------------------------------------
 
@@ -154,10 +159,6 @@ class FieldTower:
 
     # -- element constructors --------------------------------------------------
 
-    @property
-    def height(self) -> int:
-        return len(self.names)
-
     def zero(self) -> FieldElement:
         return self._constants[0]
 
@@ -170,8 +171,10 @@ class FieldTower:
         return self._constants[bits]
 
     def gen(self, level: int) -> FieldElement:
-        """The Laurent variable t_level (1-indexed)."""
-        return self.monomial(level, 1)
+        """The Laurent variable t_level (1-indexed), one shared element."""
+        if not 1 <= level <= self.height:
+            raise LevelError(f"level {level} outside 1..{self.height}")
+        return self._gens[level - 1]
 
     def monomial(self, level: int, exponent: int) -> FieldElement:
         if not 1 <= level <= self.height:
@@ -229,6 +232,7 @@ def tower(base_exponent: int, variable_names: tuple[str, ...] = ()) -> FieldTowe
 # `monomial`, `shift` (times t^e, e >= -val), `add`, `mul`, `fraction` (the
 # canonical element num/den), `coprime_fraction` (the same for coprime num
 # and den, without the gcd), `val`, `coeffs` (ascending coefficient tuple),
+# `from_coeffs` (its inverse), `coeff` (the coefficient of t^i alone),
 # `derive` (in the ring's own variable) and `sqrt` (of a polynomial, or
 # None); level 0 only the first few.
 
@@ -390,6 +394,12 @@ class _PackedRing(_Ring):
     def coeffs(self, a):
         base, kmask = self.tower._constants, self._kmask
         return tuple(base[a >> i & kmask] for i in range(0, a.bit_length(), self._w))
+
+    def from_coeffs(self, cs):
+        return sum(c.bits << i * self._w for i, c in enumerate(cs))
+
+    def coeff(self, a, i):
+        return self.tower._constants[a >> i * self._w & self._kmask]
 
     def derive(self, a):
         # the odd-degree terms survive, one degree lower
@@ -553,6 +563,11 @@ class _TupleRing(_Ring):
     def coeffs(self, a):
         return a
 
+    from_coeffs = _norm
+
+    def coeff(self, a, i):
+        return a[i]
+
     def derive(self, cs):
         # d/dt of sum c_i t^i in characteristic 2: odd-degree terms survive
         out = [self._zero] * max(len(cs) - 1, 0)
@@ -651,10 +666,11 @@ class FieldElement:
     # -- arithmetic -------------------------------------------------------------
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         tw = self.tower
+        if other.__class__ is not FieldElement or other.tower is not tw:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         if self.level == other.level:
             if self.level == 0:
                 return tw._constants[self.bits ^ other.bits]
@@ -679,10 +695,11 @@ class FieldElement:
         return self
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         tw = self.tower
+        if other.__class__ is not FieldElement or other.tower is not tw:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         if self.level == other.level:
             if self.level == 0:
                 return tw._constants[tw.bmul(self.bits, other.bits)]
@@ -789,7 +806,7 @@ class FieldElement:
         if vn > vd:
             return self.tower.zero()
         # the lowest denominator coefficient is 1 in canonical form
-        return ring.coeffs(self.num)[vn]
+        return ring.coeff(self.num, vn)
 
     # -- squares -------------------------------------------------------------------
 
@@ -809,7 +826,10 @@ class FieldElement:
         return ring.fraction(root, self.den)
 
     def is_square(self) -> bool:
-        return self.sqrt() is not None
+        if self.level == 0:
+            return True
+        ring = self.tower._rings[self.level]
+        return ring.sqrt(ring.mul(self.num, self.den)) is not None
 
     # -- differentials ----------------------------------------------------------------
 
@@ -874,8 +894,10 @@ class WpNormalForm:
     [1,1/t^3+1/t^2] reduces to (t+1)/t^3 and [1,1/t^3+1/t] to
     (t^2+1)/t^3.  `is_in_wp` is exact either way.
     `correction` satisfies x = reduced + wp(correction) exactly when
-    `correction_exact` is set; otherwise the identity holds modulo a tail
-    of t-valuation beyond DEFAULT_WP_PRECISION.
+    `correction_exact` is set.  Otherwise each series step leaves a tail of
+    t_j-valuation beyond P = DEFAULT_WP_PRECISION at its level j, so `check`
+    asks r = x + reduced + wp(correction) to be 0, or to have no terms at
+    t_j^1 ... t_j^P (j = r's level) and a constant term of the same kind.
     """
 
     reduced: FieldElement
@@ -884,9 +906,14 @@ class WpNormalForm:
     correction_exact: bool = True
 
     def check(self, x: FieldElement) -> bool:
-        if not self.correction_exact:
-            return True
-        return x == self.reduced + wp(self.correction)
+        r = x + self.reduced + wp(self.correction)
+        while not (r.is_zero() or self.correction_exact or r.level == 0):
+            if r.valuation(r.level) < 0:
+                return False
+            r, *tail = laurent_coefficients(r, r.level, 0, DEFAULT_WP_PRECISION + 1)
+            if not all(c.is_zero() for c in tail):
+                return False
+        return r.is_zero()
 
 
 def wp(y: FieldElement) -> FieldElement:
@@ -1015,26 +1042,11 @@ def laurent_coefficients(x: FieldElement, level: int, low: int, n: int) -> list[
 
 
 def _wp_series_witness(plus: FieldElement, level: int) -> FieldElement:
-    # solve y^2 + y = plus to DEFAULT_WP_PRECISION; val(plus) >= 1 makes the
-    # iteration y <- plus + y^2 contract
-    tw = plus.tower
-    n = DEFAULT_WP_PRECISION + 1
-    target = laurent_coefficients(plus, level, 0, n)
-    y = [tw.zero()] * n
-    for _ in range(DEFAULT_WP_PRECISION.bit_length() + 1):
-        sq = [tw.zero()] * n
-        for i in range((n + 1) // 2):
-            if 2 * i < n:
-                sq[2 * i] = y[i] * y[i]
-        new = [target[i] + sq[i] for i in range(n)]
-        if new == y:
-            break
-        y = new
-    t = tw.gen(level)
-    acc = tw.zero()
-    power = tw.one()
-    for c in y:
-        if not c.is_zero():
-            acc = acc + c * power
-        power = power * t
-    return acc
+    # solve y^2 + y = plus to DEFAULT_WP_PRECISION one coefficient at a time:
+    # y_i = plus_i + y_(i/2)^2, the square for even i only, and y_0 = 0
+    # since val(plus) >= 1
+    y = laurent_coefficients(plus, level, 0, DEFAULT_WP_PRECISION + 1)
+    for i in range(2, len(y), 2):
+        y[i] = y[i] + y[i // 2] * y[i // 2]
+    ring = plus.tower._rings[level]
+    return ring.element(ring.from_coeffs(y))

@@ -525,6 +525,24 @@ def test_decision_never_canonicalizes(lean_path_corpus, monkeypatch):
         class_trivial(s)
 
 
+def test_tame_decisions_build_no_symbols(lean_path_corpus, monkeypatch):
+    # below its entry the recursion runs on plain (coefficient, slots) terms;
+    # only the wild path, through `_lower_poles`, builds symbol sums
+    built, wild = [], []
+    lower = cohomology._lower_poles
+    monkeypatch.setattr(cohomology, "_lower_poles", lambda s, level: wild.append(s) or lower(s, level))
+    for cls in (cohomology.Symbol, cohomology.SymbolSum):
+        monkeypatch.setattr(cls, "__post_init__", lambda self: built.append(self))
+    tame = 0
+    for s in lean_path_corpus:
+        del built[:], wild[:]
+        class_trivial(s)
+        if not wild:
+            tame += 1
+            assert built == [], str(s)
+    assert tame >= 200
+
+
 def perfbench_style_wild_forms(tw, rng, poles, tame, count):
     """Forms sum_i b_i [1, a_i] as perfbench's wild workload draws them:
     a_i = unit / t^pole for the first `poles` pairs (pole in 1..low),

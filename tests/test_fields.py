@@ -9,8 +9,8 @@ from hypothesis import given, seed, settings, strategies as st
 
 from qchar2.errors import LevelError, NegativeValuation, ZeroInput
 from qchar2.fields import (
-    DEFAULT_WP_PRECISION, _PackedRing, _TupleRing, clearing_scale, t_power_shift, tower, wp,
-    wp_reduce,
+    DEFAULT_WP_PRECISION, WpNormalForm, _PackedRing, _TupleRing, clearing_scale, t_power_shift,
+    tower, wp, wp_reduce,
 )
 from qchar2.parsing import format_element, parse_element, parse_field
 
@@ -665,3 +665,44 @@ def canonical_form_record():
 def test_canonical_forms_are_pinned():
     record = canonical_form_record()
     assert hashlib.sha256(record.encode()).hexdigest() == CANONICAL_FORMS_SHA256
+
+
+# -- the Arf identity, generators and squareness ---------------------------------
+
+
+@pytest.mark.parametrize("tw", DIGEST_TOWERS, ids=lambda tw: tw.descriptor())
+def test_wp_check_tests_the_truncated_identity(tw):
+    # a truncated series witness leaves x + reduced + wp(correction) with
+    # no Laurent terms at t^1..t^P at its level, and its constant term the
+    # same one level down; wp(t^3) = t^6 + t^3 breaks that
+    rng = random.Random(2700 + 10 * tw.k + tw.height)
+    bump = tw.monomial(tw.height, 3)
+    inexact = 0
+    for _ in range(30):
+        x = _digest_element(tw, rng)
+        r = wp_reduce(x)
+        assert r.check(x), str(x)
+        bad = WpNormalForm(r.reduced, r.is_in_wp, r.correction + bump, r.correction_exact)
+        assert not bad.check(x), str(x)
+        inexact += not r.correction_exact
+    assert inexact >= 5
+
+
+@pytest.mark.parametrize("tw", DIGEST_TOWERS + [tower(1, ("t1", "t2", "t3"))], ids=lambda tw: tw.descriptor())
+def test_generators_are_shared(tw):
+    for level in range(1, tw.height + 1):
+        assert tw.gen(level) is tw.gen(level)
+        assert tw.gen(level) == tw.monomial(level, 1)
+    for level in (0, -1, tw.height + 1):
+        with pytest.raises(LevelError):
+            tw.gen(level)
+
+
+@pytest.mark.parametrize("tw", DIGEST_TOWERS, ids=lambda tw: tw.descriptor())
+@seed(20270)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_is_square_agrees_with_sqrt(tw, data):
+    x = data.draw(_at_level(tw, data.draw(st.integers(1, tw.height)), 2))
+    for y in (x, x * x, x * x * tw.gen(1), tw.base_element(data.draw(st.integers(0, tw.order - 1)))):
+        assert y.is_square() is (y.sqrt() is not None), str(y)
