@@ -36,7 +36,6 @@ from .fields import (
     exact_tail_reduce,
     laurent_coefficients,
     strip_even_power,
-    t_power_shift,
     wp_reduce,
 )
 from .forms import QuadraticPfister
@@ -302,8 +301,8 @@ def _terms(s: SymbolSum) -> list:
 def _residue_terms(terms: list, level: int) -> tuple[list, list] | None:
     """The unramified and ramified parts of a sum of (coefficient, slots)
     terms, raw, as term lists one level down; None when a coefficient is
-    wild.  A unit slot's residue never vanishes; a residue 1 is left for
-    the next level's cleanup to drop."""
+    wild.  A slot's lowest coefficient never vanishes; a residue 1 is left
+    for the next level's cleanup to drop."""
     unram, ram = [], []
     for coeff, slots in terms:
         a, wild = exact_tail_reduce(coeff, level)
@@ -312,12 +311,10 @@ def _residue_terms(terms: list, level: int) -> tuple[list, list] | None:
         a0 = a.residue(level)
         if a0.is_zero():
             continue
-        units, odd = [], []
-        for b in slots:
-            nb = strip_even_power(b, level)
-            has_t = nb.level == level and nb.valuation(level) == 1
-            odd.append(has_t)
-            units.append((t_power_shift(nb, level, -1) if has_t else nb).residue(level))
+        # b = t^v * u with u a unit: its residue is b's lowest coefficient,
+        # and an odd v leaves one dt/t
+        units = [b.lead(level) for b in slots]
+        odd = [b.level == level and b.valuation(level) % 2 for b in slots]
         unram.append((a0, tuple(units)))
         ram += [(a0, tuple(units[:i] + units[i + 1:])) for i, has_t in enumerate(odd) if has_t]
     return unram, ram

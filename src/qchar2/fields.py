@@ -27,19 +27,19 @@ Each tower builds its 2^k level-0 elements once
 (`FieldTower._constants`), and every level-0 result of the arithmetic is
 one of them; equality still goes by value, since an unpickled element is
 a fresh object.  Its generators are built once too (`gen` returns the
-shared t_j), and its `height` is a plain attribute.  `residue` reads the
-one coefficient it returns, not the whole coefficient tuple.  An element
-keeps its printed form (`parsing.format_element`) once it has been asked
-for, as its hash.  Two mixed-level operations skip the gcd of the
-fraction path (Henrici's rational arithmetic, Knuth, TAOCP Vol. 2,
-§4.5.1): for a canonical n/d at level j and a nonzero c below level j, c
-is a unit of the coefficient field, so c*n/d is coprime, and
-gcd(n + c*d, d) = gcd(n, d) = 1, so (n + c*d)/d is too; the denominator
-is unchanged and neither result can collapse to a constant.  The shift
-x*t_j^e of a canonical n/d at level j (`t_power_shift`) skips it too:
-gcd(n*t^e, d) = t^min(e, v(d)) for e > 0 (and symmetrically for e < 0),
-so only that t-power is cancelled, and the lowest coefficient of the
-shifted denominator is still 1.
+shared t_j), and its `height` is a plain attribute.  `residue` and
+`lead` (the lowest Laurent coefficient) read the one coefficient they
+return, not the whole coefficient tuple.  An element keeps its printed
+form (`parsing.format_element`) once it has been asked for, as its hash.
+Two mixed-level operations skip the gcd of the fraction path (Henrici's
+rational arithmetic, Knuth, TAOCP Vol. 2, §4.5.1): for a canonical n/d
+at level j and a nonzero c below level j, c is a unit of the coefficient
+field, so c*n/d is coprime, and gcd(n + c*d, d) = gcd(n, d) = 1, so
+(n + c*d)/d is too; the denominator is unchanged and neither result can
+collapse to a constant.  The shift x*t_j^e of a canonical n/d at level j
+(`t_power_shift`) skips it too: gcd(n*t^e, d) = t^min(e, v(d)) for
+e > 0 (and symmetrically for e < 0), so only that t-power is cancelled,
+and the lowest coefficient of the shifted denominator is still 1.
 
 Semantic questions (squareness, Artin-Schreier membership, valuations)
 are answered against the *complete* field, even though representatives
@@ -808,6 +808,16 @@ class FieldElement:
         # the lowest denominator coefficient is 1 in canonical form
         return ring.coeff(self.num, vn)
 
+    def lead(self, level: int) -> FieldElement:
+        """The lowest Laurent coefficient in t_level, the residue of
+        self * t_level^-v; one coefficient read, as in `residue`."""
+        if self.level < level:
+            return self
+        if self.level > level:
+            raise LevelError("leading coefficient below the element's own variable")
+        ring = self.tower._rings[level]
+        return ring.coeff(self.num, ring.val(self.num))
+
     # -- squares -------------------------------------------------------------------
 
     def sqrt(self):
@@ -979,7 +989,7 @@ def _lower_even_poles(cur: FieldElement, level: int):
         v = cur.valuation(level)
         if v % 2 != 0:
             return cur, steps, True
-        root = t_power_shift(cur, level, -v).residue(level).sqrt()
+        root = cur.lead(level).sqrt()
         if root is None:
             return cur, steps, True
         steps.append(root * tw.monomial(level, v // 2))

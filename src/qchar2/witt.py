@@ -323,11 +323,11 @@ def _springer_split(tw, pairs, ql, level):
     for i, (b, a) in enumerate(pairs):
         odd = b.valuation(level) != 0
         coords[odd].extend((2 * i, 2 * i + 1))
-        res[odd].append(((t_power_shift(b, level, -1) if odd else b).residue(level), a.residue(level)))
+        res[odd].append((b.lead(level), a.residue(level)))
     for j, c in enumerate(ql):
         odd = c.valuation(level) != 0
         ql_coords[odd].append(2 * len(pairs) + j)
-        ql_res[odd].append((t_power_shift(c, level, -1) if odd else c).residue(level))
+        ql_res[odd].append(c.lead(level))
     return tuple(
         (coords[k] + ql_coords[k], QuadraticForm(tw, tuple(res[k]), tuple(ql_res[k])))
         for k in (0, 1)
@@ -924,10 +924,7 @@ def _approx_sqrt(x: FieldElement):
     v = x.valuation(level)
     if v % 2:
         return None
-    res = t_power_shift(x, level, -v).residue(level)
-    if res.is_zero():
-        return None
-    rs = _approx_sqrt(res)
+    rs = _approx_sqrt(x.lead(level))
     if rs is None:
         return None
     return t_power_shift(rs, level, v // 2)

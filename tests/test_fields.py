@@ -706,3 +706,18 @@ def test_is_square_agrees_with_sqrt(tw, data):
     x = data.draw(_at_level(tw, data.draw(st.integers(1, tw.height)), 2))
     for y in (x, x * x, x * x * tw.gen(1), tw.base_element(data.draw(st.integers(0, tw.order - 1)))):
         assert y.is_square() is (y.sqrt() is not None), str(y)
+
+
+@pytest.mark.parametrize("tw", DIGEST_TOWERS, ids=lambda tw: tw.descriptor())
+@seed(20271)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_lead_is_the_residue_of_the_unit_part(tw, data):
+    own = data.draw(st.integers(1, tw.height))
+    x = data.draw(_at_level(tw, own, 2))
+    for level in range(own, tw.height + 1):
+        v = x.valuation(level)
+        assert x.lead(level) == t_power_shift(x, level, -v).residue(level), (str(x), level)
+    if own > 1:
+        with pytest.raises(LevelError):
+            x.lead(own - 1)
