@@ -147,12 +147,15 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _report(args, payload: dict, code: int) -> int:
+def _report(args, payload: dict, code: int, meta: dict | None = None) -> int:
+    """Print the report; `meta` adds run facts (timings) that --no-meta
+    leaves out with the version and the timestamp."""
     payload = {"schema": 1, **payload}
     if not args.no_meta:
         payload["meta"] = {
             "version": __version__,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
+            **(meta or {}),
         }
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True, default=str))
@@ -393,6 +396,38 @@ def _run_u_invariant(args):
     return _report(args, payload, EXIT_OK)
 
 
+def _suite_job(name, tw, samples, seed, budget):
+    """One suite of `verify`: its report and the seconds it took.  Defined
+    at module level, so that a worker process unpickles it by name."""
+    t0 = time.perf_counter()
+    rep = run_suite(name, tw, samples=samples, seed=seed, budget=budget)
+    return rep, time.perf_counter() - t0
+
+
+def _run_jobs(jobs):
+    """(the results of `_suite_job` in job order, the number of processes
+    that ran them).  The jobs run in forked workers, one per usable CPU, or
+    in this process when there is one job, one usable CPU, no fork, or a
+    second thread, which a fork could catch holding a lock.  A forked
+    worker, unlike a spawned one, keeps this process's hash seed, towers
+    and caches, so its report has the same bytes; a worker's exception is
+    raised here, the first one in job order."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(len(jobs), cpus)
+    if workers > 1:
+        import multiprocessing
+        import threading
+        from concurrent.futures import ProcessPoolExecutor
+
+        if "fork" in multiprocessing.get_all_start_methods() and threading.active_count() == 1:
+            # multiprocessing flushes stdout and stderr before each fork, so
+            # a worker never writes out a copy of unwritten output
+            context = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(workers, mp_context=context) as pool:
+                return list(pool.map(_suite_job, *zip(*jobs))), workers
+    return [_suite_job(*job) for job in jobs], 1
+
+
 def _run_verify(args):
     if args.suite == "all":
         seen = set()
@@ -405,14 +440,15 @@ def _run_verify(args):
     else:
         names = [args.suite]
     tw = parse_field(args.field) if args.field else None
-    reports = []
+    # `verify all --budget` reaches the suites that search; naming a suite
+    # that does not is an error raised by run_suite
+    jobs = [(name, tw, args.samples, args.seed,
+             args.budget if args.suite != "all" or suite_takes_budget(name) else None)
+            for name in names]
+    results, workers = _run_jobs(jobs)
+    reports = [rep for rep, _ in results]
     worst = EXIT_OK
-    for name in names:
-        # `verify all --budget` reaches the suites that search; naming a
-        # suite that does not is an error raised by run_suite
-        budget = args.budget if args.suite != "all" or suite_takes_budget(name) else None
-        rep = run_suite(name, tw, samples=args.samples, seed=args.seed, budget=budget)
-        reports.append(rep)
+    for rep in reports:
         if rep.has_refutation:
             worst = max(worst, EXIT_REFUTATION)
         elif not rep.passed:
@@ -422,7 +458,9 @@ def _run_verify(args):
         "passed": all(r.passed for r in reports),
         "suites": [r.to_json() for r in reports],
     }
-    return _report(args, payload, worst)
+    meta = {"suite_seconds": {name: seconds for name, (_, seconds) in zip(names, results)},
+            "workers": workers}
+    return _report(args, payload, worst, meta)
 
 
 HANDLERS = {

@@ -49,8 +49,8 @@ produced by `wp_reduce` may be truncated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import lru_cache, partial
 from operator import attrgetter, xor
 
 from .errors import LevelError, NegativeValuation, UnsupportedField, ZeroInput
@@ -908,12 +908,20 @@ class WpNormalForm:
     t_j-valuation beyond P = DEFAULT_WP_PRECISION at its level j, so `check`
     asks r = x + reduced + wp(correction) to be 0, or to have no terms at
     t_j^1 ... t_j^P (j = r's level) and a constant term of the same kind.
+    The third argument is the correction or a function that builds it; it
+    is built on first read, and equality and repr leave it out.
     """
 
     reduced: FieldElement
     is_in_wp: bool
-    correction: FieldElement
+    _correction: object = field(compare=False, repr=False)
     correction_exact: bool = True
+
+    @property
+    def correction(self) -> FieldElement:
+        if callable(self._correction):
+            object.__setattr__(self, "_correction", self._correction())
+        return self._correction
 
     def check(self, x: FieldElement) -> bool:
         r = x + self.reduced + wp(self.correction)
@@ -944,29 +952,34 @@ def wp_reduce(x: FieldElement) -> WpNormalForm:
     exact even when the correction witness is truncated.
     """
     tw = x.tower
-    correction = tw.zero()
-    exact = True
+    steps = []       # the correction's exact summands
+    series = []      # (plus, level) of each series step, solved on first read
     cur = x
     while cur.level > 0:
         lev = cur.level
-        cur, steps, wild = _lower_even_poles(cur, lev)
-        correction = sum(steps, correction)
+        cur, more, wild = _lower_even_poles(cur, lev)
+        steps += more
         if wild:
-            return WpNormalForm(cur, False, correction, exact)
+            return WpNormalForm(cur, False, partial(_build_correction, tw, steps, series), not series)
         if cur.level < lev:
             continue
         const = cur.residue(lev)
         plus = cur + const
         if not plus.is_zero():
-            correction = correction + _wp_series_witness(plus, lev)
-            exact = False
+            series.append((plus, lev))
         cur = const
     bits = cur.bits
-    if tw._trace[bits]:
-        reduced = tw.trace_one_element()
-        target = bits ^ reduced.bits
-        return WpNormalForm(reduced, False, correction + tw.base_element(tw._wp_preimage[target]), exact)
-    return WpNormalForm(tw.zero(), True, correction + tw.base_element(tw._wp_preimage[bits]), exact)
+    reduced = tw.trace_one_element() if tw._trace[bits] else tw.zero()
+    steps.append(tw.base_element(tw._wp_preimage[bits ^ reduced.bits]))
+    return WpNormalForm(reduced, reduced.is_zero(), partial(_build_correction, tw, steps, series),
+                        not series)
+
+
+def _build_correction(tw: FieldTower, steps: list, series: list) -> FieldElement:
+    total = sum(steps, tw.zero())
+    for plus, level in series:
+        total = total + _wp_series_witness(plus, level)
+    return total
 
 
 def exact_tail_reduce(a: FieldElement, level: int):

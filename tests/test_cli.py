@@ -2,10 +2,14 @@
 
 import hashlib
 import json
+import multiprocessing
+import os
+import pickle
 
 import pytest
 
 from qchar2.cli import main
+from qchar2.errors import ParseError, QChar2Error, RefutationCandidate, SearchExhausted
 from qchar2.parsing import parse_field, parse_form
 from qchar2.witt import IsotropyVerdict, verify_certificate
 
@@ -407,3 +411,135 @@ def test_runs_as_a_module():
                           capture_output=True, text=True, env=env)
     assert done.returncode == 0, done.stderr
     assert "bound: 1" in done.stdout
+
+
+def test_undersampled_theoremd_is_undecided(capsys):
+    # three samples find no anisotropic dimension 4 over F2((t)): missing
+    # evidence (exit 1), not a counter-instance (exit 3)
+    code, out = run(capsys, "verify", "theoremd", "--samples", "3",
+                    "--format", "json", "--no-meta")
+    assert code == 1
+    (suite,) = json.loads(out)["suites"]
+    assert suite["stats"]["d"] < suite["stats"]["u"]
+    assert [f["kind"] for f in suite["failures"]] == ["undecided"]
+    assert main(["verify", "all", "--field", "F4((t))", "--samples", "3"]) == 1
+
+
+def run_on_cpus(capsys, monkeypatch, cpus, *argv):
+    """`run` with `cpus` usable CPUs: `verify` runs its suites in forked
+    workers when there are two or more, in process with one."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestWorkerPool:
+    @pytest.mark.parametrize("argv", [
+        *[("--seed", seed, "--format", fmt, "--no-meta")
+          for seed in ("0", "1", "7") for fmt in ("json", "text")],
+        ("--field", "F2((t1))((t2))", "--samples", "5", "--format", "json", "--no-meta"),
+    ])
+    def test_pool_and_in_process_bytes_agree(self, capsys, monkeypatch, argv):
+        pooled = run_on_cpus(capsys, monkeypatch, 2, "verify", "all", *argv)
+        alone = run_on_cpus(capsys, monkeypatch, 1, "verify", "all", *argv)
+        assert pooled == alone
+        assert pooled[0] in (0, 1) and pooled[1]
+
+    @pytest.mark.parametrize("cpus, workers", [(1, 1), (2, 2), (3, 3)])
+    def test_meta_records_workers_and_suite_seconds(self, capsys, monkeypatch, cpus, workers):
+        code, out, _ = run_on_cpus(capsys, monkeypatch, cpus, "verify", "all", "--samples", "1",
+                                   "--format", "json")
+        meta = json.loads(out)["meta"]
+        assert meta["workers"] == workers
+        # keyed by the names `verify all` runs the suites under
+        assert len(meta["suite_seconds"]) == 13 and "coru" in meta["suite_seconds"]
+        assert all(s > 0 for s in meta["suite_seconds"].values())
+        assert multiprocessing.active_children() == []
+
+    def test_workers_do_not_repeat_unwritten_output(self):
+        # with stdout a pipe, "marker" sits in the buffer when the workers
+        # fork; a worker that inherited it would write it again at exit
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import qchar2
+
+        script = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1};"
+                  "from qchar2.cli import main; sys.stdout.write('marker\\n');"
+                  "raise SystemExit(main(['verify', 'all', '--samples', '1', '--format', 'json']))")
+        env = {**os.environ, "PYTHONPATH": str(Path(qchar2.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        assert done.stdout.count("marker") == 1, done.stderr
+        assert json.loads(done.stdout.split("\n", 1)[1])["meta"]["workers"] == 2
+
+    def test_one_suite_runs_in_process(self, capsys, monkeypatch):
+        code, out, _ = run_on_cpus(capsys, monkeypatch, 2, "verify", "oracle", "--samples", "2",
+                                   "--format", "json")
+        assert code == 0
+        assert json.loads(out)["meta"]["workers"] == 1
+
+    def test_a_second_thread_keeps_the_suites_in_process(self, capsys, monkeypatch):
+        # a fork copies only the calling thread, and any lock another
+        # thread holds stays locked in the worker
+        import threading
+
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(30,))
+        other.start()
+        try:
+            code, out, _ = run_on_cpus(capsys, monkeypatch, 2, "verify", "all", "--samples", "1",
+                                       "--format", "json")
+        finally:
+            release.set()
+            other.join(30)
+        assert not other.is_alive()
+        assert json.loads(out)["meta"]["workers"] == 1
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_worker_error_keeps_its_exit_code(self, capsys, monkeypatch, cpus):
+        code, out, err = run_on_cpus(capsys, monkeypatch, cpus, "verify", "all", "--field", "F4")
+        assert code == 2 and out == ""
+        assert err == "error: no anisotropic 2-fold Pfister form exists over F2^2\n"
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_worker_refutation_exits_three(self, capsys, monkeypatch, cpus):
+        import qchar2.suites
+
+        def refuted(**kwargs):
+            raise RefutationCandidate("oracle found a zero of an anisotropic form")
+
+        # forked workers see the patched registry
+        monkeypatch.setitem(qchar2.suites.SUITES, "oracle", refuted)
+        code, out, err = run_on_cpus(capsys, monkeypatch, cpus, "verify", "all", "--samples", "1")
+        assert code == 3 and out == ""
+        assert err == "refutation candidate: oracle found a zero of an anisotropic form\n"
+        assert multiprocessing.active_children() == []
+
+
+def _error_classes(cls=QChar2Error):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _error_classes(sub)
+
+
+@pytest.mark.parametrize("cls", sorted(set(_error_classes()), key=lambda c: c.__name__),
+                         ids=lambda c: c.__name__)
+def test_errors_survive_a_pickle_round_trip(cls):
+    # a worker's exception reaches the parent pickled
+    if cls is SearchExhausted:
+        exc = cls("budget 64 spent", report={"budget": 64, "tried": 65})
+    elif cls is ParseError:
+        exc = cls("expected identifier", text="[1,x]", pos=3)
+    else:
+        exc = cls("the message")
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is cls
+    assert str(back) == str(exc) and back.args == exc.args
+    assert vars(back) == vars(exc)
+    if cls is ParseError:
+        assert (back.text, back.pos) == ("[1,x]", 3)
+    if cls is SearchExhausted:
+        assert back.report == {"budget": 64, "tried": 65}

@@ -225,3 +225,18 @@ def documented_rules():
 
 def test_readme_lists_the_checked_rules():
     assert checked_rules() == documented_rules()
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # `verify` imports the pool machinery when it first forks, so that the
+    # import of qchar2 and of its CLI stays as cheap as before
+    import os
+    import subprocess
+    import sys
+
+    script = ("import sys, qchar2, qchar2.cli;"
+              "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
