@@ -33,18 +33,9 @@ from .forms import (
     move_wp_shift_to,
     orth_sum,
     scale,
-    tensor,
 )
 from .invariants import clifford, e_map, in_iqn, iqn_vanishes, pfister_hyperbolic
-from .witt import (
-    brute_search,
-    is_hyperbolic,
-    isotropy,
-    square_completion_isotropy,
-    witt_decompose,
-    witt_equivalent,
-    witt_index,
-)
+from .witt import isotropy, witt_decompose, witt_equivalent, witt_index
 
 
 # -- Pfister equality through the invariant map -----------------------------------
@@ -564,32 +555,25 @@ def augmented_sum_index_check(
     alpha: FieldElement,
     beta: FieldElement,
     gamma: FieldElement,
-    budget: int = 20000,
 ) -> IndexCheckResult:
     """Witt-index lower bound 2^(n-1) + 1 for psi + pi + <1> where
     pi = <<alpha>> x rho and psi = <<beta, gamma>> x rho.
 
-    Structural route: the doubled rho accounts for 2^(n-1) planes
-    exactly; the remainder <alpha,beta,gamma,beta*gamma> x rho + <1> is a
-    neighbor of the fold-(n+2) form <<alpha,beta,gamma>> x rho, whose
-    hyperbolicity is checked by the decider, and an explicit isotropy
-    certificate for the remainder is then produced by square-completion
-    search.
+    The doubled rho accounts for 2^(n-1) planes exactly.  The remainder
+    <alpha,beta,gamma,beta*gamma> x rho + <1>, of dimension 2^(n+1) + 1,
+    is a subform of the fold-(n+2) ambient form <<alpha,beta,gamma>> x rho,
+    decided by its symbol (`pfister_hyperbolic`).  The rule is exact both
+    ways (Elman-Karpenko-Merkurjev, The Algebraic and Geometric Theory of
+    Quadratic Forms, AMS 2008): a hyperbolic ambient form has a totally
+    isotropic subspace of dimension 2^(n+1), which the remainder meets, so
+    the remainder is isotropic; an isotropic Pfister form is hyperbolic, so
+    a non-hyperbolic ambient form is anisotropic, and so is every subform,
+    the remainder among them.
     """
-    tw = rho.tower
     n = rho.fold + 1
-    rho_e = rho.expand()
-    remainder = QuadraticForm(
-        tw,
-        scale(alpha, rho_e).pairs
-        + scale(beta, rho_e).pairs
-        + scale(gamma, rho_e).pairs
-        + scale(beta * gamma, rho_e).pairs,
-        (tw.one(),),
-    )
-    big = tensor(BilinearPfister((alpha, beta, gamma)), rho_e)
-    big_hyperbolic = is_hyperbolic(big)
-    chain = [
+    ambient = QuadraticPfister((alpha, beta, gamma) + rho.bilinear_slots, rho.last_slot)
+    hyperbolic = pfister_hyperbolic(ambient)
+    chain = (
         {
             "step": "doubling",
             "planes": 2 ** (n - 1),
@@ -598,20 +582,12 @@ def augmented_sum_index_check(
         {
             "step": "neighbor",
             "ambient": str(BilinearPfister((alpha, beta, gamma))) + " x " + str(rho),
-            "ambient_hyperbolic": big_hyperbolic,
+            "ambient_hyperbolic": hyperbolic,
         },
-    ]
-    verdict = square_completion_isotropy(remainder, budget)
-    if verdict is None:
-        fallback = brute_search(remainder, budget)
-        verdict = fallback if fallback.is_isotropic else None
-    found = verdict is not None
-    chain.append({
-        "step": "remainder-isotropy",
-        "found": found,
-        "certificate": verdict.certificate if found else None,
-    })
-    index_lower = 2 ** (n - 1) + (1 if found else 0)
-    return IndexCheckResult(
-        found and big_hyperbolic, index_lower, 2 ** (n - 1) + 1, tuple(chain)
+        {
+            "step": "remainder-isotropy",
+            "rule": "hyperbolic-pfister-neighbor",
+            "found": hyperbolic,
+        },
     )
+    return IndexCheckResult(hyperbolic, 2 ** (n - 1) + hyperbolic, 2 ** (n - 1) + 1, chain)

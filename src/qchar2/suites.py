@@ -421,10 +421,10 @@ def suite_insep(tw: FieldTower = F2T, samples: int = 100, seed: int = 0,
     )
 
 
-def suite_wittlemma(tw: FieldTower = F2T, samples: int = 50, seed: int = 0,
-                    budget: int = 20000) -> SuiteReport:
+def suite_wittlemma(tw: FieldTower = F2T, samples: int = 50, seed: int = 0) -> SuiteReport:
     """Witt index of psi + pi + <1> reaches 2^(n-1) + 1 on constructed
-    shared-factor pairs."""
+    shared-factor pairs.  A miss is decided, not searched for: its ambient
+    Pfister form is anisotropic, so the index is exactly 2^(n-1)."""
     sampler = Sampler(tw, seed)
     failures = []
     for i in range(samples):
@@ -432,9 +432,9 @@ def suite_wittlemma(tw: FieldTower = F2T, samples: int = 50, seed: int = 0,
         alpha = sampler.nonzero()
         beta = sampler.nonzero()
         gamma = sampler.nonzero()
-        res = augmented_sum_index_check(rho, alpha, beta, gamma, budget)
+        res = augmented_sum_index_check(rho, alpha, beta, gamma)
         if not res.ok:
-            failures.append(_fail("exhausted", rho=str(rho), alpha=str(alpha),
+            failures.append(_fail("anisotropic-ambient", rho=str(rho), alpha=str(alpha),
                                   beta=str(beta), gamma=str(gamma),
                                   index_lower=res.index_lower, target=res.target))
     return SuiteReport(

@@ -59,7 +59,6 @@ from .fields import (
     clearing_scale,
     exact_tail_reduce,
     strip_even_power,
-    t_power_shift,
     wp_reduce,
 )
 from .forms import QuadraticForm, orth_sum, split_plane
@@ -908,64 +907,6 @@ def _block_combos(ring, blocks, budget):
             ((coords + c, add(acc, key)) for coords, acc in combos for c, key in vals), cap
         ))
     return combos
-
-
-def _approx_sqrt(x: FieldElement):
-    """Exact square root, or a truncation whose square agrees with x to
-    strictly higher valuation; None when the parity obstructs."""
-    if x.is_zero():
-        return x
-    r = x.sqrt()
-    if r is not None:
-        return r
-    level = x.level
-    if level == 0:
-        return None
-    v = x.valuation(level)
-    if v % 2:
-        return None
-    rs = _approx_sqrt(x.lead(level))
-    if rs is None:
-        return None
-    return t_power_shift(rs, level, v // 2)
-
-
-def square_completion_isotropy(f: QuadraticForm, budget: int) -> IsotropyVerdict | None:
-    """Isotropy of (nonsingular + quasilinear) by completing nonsingular
-    values to squares through a quasilinear coordinate; exact witnesses
-    when the value is an exact square, Hensel pairs otherwise.
-
-    Nonsingular combinations are summed as keys, as in `brute_search`; each
-    one examined is rebuilt into w = q(v) with one multiply.  A candidate's
-    q(v) is w + c * root^2, and its row B(v, e_i) comes from `_polar_row`."""
-    tw = f.tower
-    if not f.quasilinear or not f.pairs:
-        return None
-    small = candidate_scalars(tw, budget)[: max(3, int(budget ** 0.2))]
-    cleared = _Cleared(f.nonsingular_part(), small)
-    combos = _block_combos(cleared.ring, cleared.blocks(len(small), 0), budget)
-    nq = len(f.quasilinear)
-    basis = _basis(f)
-    for coords, key in combos[:budget]:
-        if not key:
-            if any(coords):
-                return _iso_exact(f, coords + (tw.zero(),) * nq)
-            continue
-        w = cleared.value(key)
-        row = None
-        for j, c in enumerate(f.quasilinear):
-            # q(v) = 0 when the root is exact, and _hensel_scan returns v
-            root = _approx_sqrt(w / c)
-            if root is None:
-                continue
-            v = coords + _pad(tw, (root,), nq, j)
-            if row is None:
-                # quasilinear coordinates are radical: the row depends on coords alone
-                row = _polar_row(f, v)
-            got = _hensel_scan(f, v, w + c * (root * root), row, basis)
-            if got is not None:
-                return got
-    return None
 
 
 # -- certificate re-verification ----------------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 from qchar2.cli import main
 from qchar2.errors import ParseError, QChar2Error, RefutationCandidate, SearchExhausted
 from qchar2.parsing import parse_field, parse_form
+from qchar2.suites import SUITES, suite_takes_budget
 from qchar2.witt import IsotropyVerdict, verify_certificate
 
 
@@ -311,6 +312,19 @@ class TestOptionContract:
 
     def test_budget_on_a_suite_with_search(self, capsys):
         assert main(["verify", "pfister-dichotomy", "--samples", "3", "--budget", "64"]) == 0
+
+    def test_budget_on_the_witt_lemma_suite(self, capsys):
+        # wittlemma decides by the symbol of its ambient Pfister form and searches nothing
+        assert main(["verify", "wittlemma", "--budget", "5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "takes no budget" in err
+
+    def test_the_suites_that_take_a_budget(self):
+        searching = {name for name in SUITES if suite_takes_budget(name)}
+        assert searching == {"pfister-dichotomy", "oracle", "u-witness", "length-pipeline",
+                             "theoremu", "insep", "coru", "lift"}
+        # insep and coru name one suite
+        assert len({SUITES[name] for name in searching}) == 7
 
 
 class TestHypothesisViolations:

@@ -6,7 +6,7 @@ import pytest
 
 from qchar2.errors import UndecidableInstance
 from qchar2.fields import tower
-from qchar2.forms import QuadraticPfister, orth_sum, scale
+from qchar2.forms import QuadraticForm, QuadraticPfister, orth_sum, scale
 from qchar2.linkage import (
     augmented_sum_index_check,
     canonical_witness,
@@ -20,9 +20,9 @@ from qchar2.linkage import (
     verify_linkage_witness,
 )
 from qchar2.invariants import pfister_hyperbolic
-from qchar2.parsing import parse_element, parse_form_expr
+from qchar2.parsing import parse_element, parse_field, parse_form_expr
 from qchar2.sampling import Sampler
-from qchar2.witt import is_hyperbolic, isotropy, witt_equivalent
+from qchar2.witt import brute_search, is_hyperbolic, isotropy, witt_equivalent
 
 F2 = tower(1)
 F2T = tower(1, ("t",))
@@ -278,15 +278,49 @@ class TestDInvariant:
 class TestAugmentedIndex:
     def test_constructed_over_m1(self):
         rho = QuadraticPfister((), F2T.one())
-        res = augmented_sum_index_check(
-            rho, el(F2T, "t"), el(F2T, "1+t"), el(F2T, "t^2+t"), budget=20000
-        )
+        res = augmented_sum_index_check(rho, el(F2T, "t"), el(F2T, "1+t"), el(F2T, "t^2+t"))
         assert res.ok
         assert res.index_lower >= 3
 
     def test_hyperbolic_psi_trivial(self):
         rho = QuadraticPfister((), F2T.one())
-        res = augmented_sum_index_check(
-            rho, el(F2T, "t"), F2T.one(), F2T.one(), budget=20000
-        )
+        res = augmented_sum_index_check(rho, el(F2T, "t"), F2T.one(), F2T.one())
         assert res.index_lower >= 3 or res.ok
+
+    @staticmethod
+    def _remainder(rho, alpha, beta, gamma):
+        """<alpha, beta, gamma, beta*gamma> x rho + <1>, built from the slots."""
+        tw, e = rho.tower, rho.expand()
+        pairs = sum((scale(c, e).pairs for c in (alpha, beta, gamma, beta * gamma)), ())
+        return QuadraticForm(tw, pairs, (tw.one(),))
+
+    @pytest.mark.parametrize("field,count", [
+        ("F2((t))", 30), ("F2^2((t))", 30), ("F2((t1))((t2))", 10),
+    ])
+    def test_rule_agrees_with_the_search(self, field, count):
+        # drawn as the wittlemma suite draws; a zero of the remainder found by
+        # the search must come with a hyperbolic ambient form, and below height
+        # 3 the fold-4 ambient form is always hyperbolic (u = 2^(height+1) < 16)
+        tw = parse_field(field)
+        sampler = Sampler(tw, 0)
+        for _ in range(count):
+            rho = sampler.anisotropic_pfister(1)
+            alpha, beta, gamma = sampler.nonzero(), sampler.nonzero(), sampler.nonzero()
+            res = augmented_sum_index_check(rho, alpha, beta, gamma)
+            if brute_search(self._remainder(rho, alpha, beta, gamma), 20000).is_isotropic:
+                assert res.ok, (rho, alpha, beta, gamma)
+            assert res.ok and res.index_lower == res.target == 3
+
+    def test_anisotropic_ambient_is_decided(self):
+        # <<t1,t2,t3,delta]] is the canonical anisotropic 4-fold form over
+        # F2((t1))((t2))((t3)), so the remainder, a subform, is anisotropic
+        tw = tower(1, ("t1", "t2", "t3"))
+        rho = QuadraticPfister((), tw.trace_one_element())
+        t1, t2, t3 = (tw.gen(i) for i in (1, 2, 3))
+        res = augmented_sum_index_check(rho, t1, t2, t3)
+        assert (res.ok, res.index_lower, res.target) == (False, 2, 3)
+        assert res.chain[2] == {"step": "remainder-isotropy",
+                                "rule": "hyperbolic-pfister-neighbor", "found": False}
+        # <<t2,t2>> = <<t2,1>> kills the form: the ambient form is hyperbolic
+        res = augmented_sum_index_check(rho, t1, t2, t2)
+        assert (res.ok, res.index_lower) == (True, 3)

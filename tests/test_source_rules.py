@@ -147,6 +147,34 @@ def test_pfister_questions_ask_no_decider():
         assert decider_names_in(stem, qualname) == set(), qualname
 
 
+def brute_search_callers():
+    """`module.function` for every function of the library that calls
+    `brute_search`; a call belongs to its innermost function."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = {}
+        # breadth first, so a nested function overwrites its enclosing one
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for n in ast.walk(func):
+                    if isinstance(n, ast.Call):
+                        owner[n] = func.name
+        found |= {
+            f"{path.stem}.{owner.get(n, '<module>')}" for n in ast.walk(tree)
+            if isinstance(n, ast.Call) and _identifiers([n.func]) & {"brute_search"}
+        }
+    return found
+
+
+def test_only_the_oracle_and_the_decider_fallbacks_search():
+    # a theorem check decides by exact rules; a bounded search behind one
+    # would turn a missed zero into a silent Undecided
+    assert brute_search_callers() == {
+        "witt._searched", "witt._decompose_pairs", "suites.suite_oracle",
+    }
+
+
 def unreached_names():
     """`module.name` for every top-level function or class of the library
     that no root reaches through the names it mentions.  The roots are the

@@ -13,7 +13,7 @@ from qchar2.errors import HypothesisViolated, SingularInput
 from qchar2.fields import tower, wp, wp_reduce
 from qchar2.forms import QuadraticForm, QuadraticPfister, arf_sum, orth_sum, scale
 from qchar2.invariants import clifford
-from qchar2.linkage import augmented_sum_index_check, square_completion_isotropy
+from qchar2.linkage import augmented_sum_index_check
 from qchar2.parsing import parse_element, parse_field, parse_form
 from qchar2.suites import run_suite
 from qchar2.witt import (
@@ -524,7 +524,7 @@ def test_large_finite_residue_mixed_forms_are_decided(field, text):
 SEARCH_TOWERS = [tower(1, ("t",)), tower(2, ("t",)), tower(3, ("t",)), tower(1, ("t1", "t2"))]
 SEARCH_BUDGETS = (100, 1000, 4096)
 SEARCH_FORMS = 8
-SEARCH_SHA256 = "21e6d2a27290d57b3864b462b87d7d27f435bab2cb6ac1b1e9bbe3e0f85e89b1"
+SEARCH_SHA256 = "e566b9742bfc6135808d148da418ffbc58ff5411777e167706026eead1e326c9"
 
 
 def _search_scalar(tw, rng, lo, hi, terms):
@@ -569,8 +569,7 @@ def search_record():
             f = _search_form(tw, rng, wild=j % 2 == 0)
             for budget in SEARCH_BUDGETS:
                 found = _verdict_record(brute_search(f, budget))
-                completed = _verdict_record(square_completion_isotropy(f, budget))
-                lines.append(f"{tw.descriptor()} {f} {budget} {found} {completed}")
+                lines.append(f"{tw.descriptor()} {f} {budget} {found}")
     return "\n".join(lines)
 
 
@@ -585,7 +584,7 @@ def test_search_outputs_are_pinned():
 # paths turn candidates into verdicts: the residue lift of an exact residue zero
 # with q(v) != 0 (found and not found), the wild-mixture fallback and both mixed
 # fallbacks (each isotropic and undecided); then the chains of
-# `augmented_sum_index_check`, through square completion and the brute fallback.
+# `augmented_sum_index_check`, decided by the symbol of the ambient form.
 
 DECIDER_TOWERS = [tower(1, ("t",)), tower(2, ("t",)), tower(1, ("t1", "t2"))]
 DECIDER_BUDGETS = (100, 4096)
@@ -597,7 +596,7 @@ DECIDER_CHAINS = [
     ("F2^2((t))", "1", "t+(z+1)", "(z+1)/t", "(t^2+z)/t", "z+1"),
     ("F2((t1))((t2))", "t1/t2", "(1/t1)*t2+1", "(t2+(1/t1))/t2", "1/t2", "((1/t1)*t2+t1)/t2"),
 ]
-DECIDER_SHA256 = "9ff4a48c805abd95da14fe8e6e9bcd87fa639d7fe2fc815d79b16dabc58359fc"
+DECIDER_SHA256 = "ce3f8c6dbc48057ad5f7728dce13d6e9d600dc37c2fb684cf6090766789cf525"
 
 
 def _decider_form(tw, rng):
@@ -624,10 +623,9 @@ def decider_record():
         tw = parse_field(field)
         rho_b, rho_a, alpha, beta, gamma = (el(tw, s) for s in slots)
         rho = QuadraticPfister((rho_b,), rho_a)
-        for budget in DECIDER_BUDGETS:
-            res = augmented_sum_index_check(rho, alpha, beta, gamma, budget)
-            chain = json.dumps(res.chain, sort_keys=True)
-            lines.append(f"{field} {rho} {budget} {res.ok} {res.index_lower} {chain}")
+        res = augmented_sum_index_check(rho, alpha, beta, gamma)
+        chain = json.dumps(res.chain, sort_keys=True)
+        lines.append(f"{field} {rho} {res.ok} {res.index_lower} {chain}")
     return "\n".join(lines)
 
 
