@@ -874,7 +874,9 @@ def brute_search(f: QuadraticForm, budget: int = DEFAULT_SEARCH_BUDGET) -> Isotr
 
     # Hensel pass: the basis vectors, then the first left combinations,
     # each against every basis vector; a combination the screen rejects
-    # gets no value (None) and no row, but counts as tried
+    # gets no value (None) and no row, but counts as tried.  Only a pair
+    # (v, e_i) with B(v, e_i) != 0 can certify, one per nonzero pair
+    # coordinate of v, and only those count
     basis = _basis(f)
     zero = tw.zero()
     cand = ((c + (zero,) * (f.dim - len(c)), cleared.value(key) if cleared.screen(c, key) else None)
@@ -889,7 +891,7 @@ def brute_search(f: QuadraticForm, budget: int = DEFAULT_SEARCH_BUDGET) -> Isotr
             got = _hensel_scan(f, v, qv, _polar_row(f, v), basis)
             if got is not None:
                 return got
-        hensel_tried += f.dim
+        hensel_tried += sum(1 for x in v[:2 * len(f.pairs)] if x)
     report = {"budget": budget, "pool": len(pool), "pairs_covered": min(covered, budget * 4),
               "hensel_tried": hensel_tried}
     return IsotropyVerdict("undecided", None, None, report)

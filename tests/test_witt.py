@@ -524,7 +524,7 @@ def test_large_finite_residue_mixed_forms_are_decided(field, text):
 SEARCH_TOWERS = [tower(1, ("t",)), tower(2, ("t",)), tower(3, ("t",)), tower(1, ("t1", "t2"))]
 SEARCH_BUDGETS = (100, 1000, 4096)
 SEARCH_FORMS = 8
-SEARCH_SHA256 = "e566b9742bfc6135808d148da418ffbc58ff5411777e167706026eead1e326c9"
+SEARCH_SHA256 = "50f5d75052e0dd0aeb34cd04becf76dd7e5dea4d7898769e5becb9a5b039c7d0"
 
 
 def _search_scalar(tw, rng, lo, hi, terms):
@@ -663,7 +663,8 @@ def test_brute_search_evaluates_each_candidate_once(monkeypatch):
     monkeypatch.setattr(QuadraticForm, "evaluate", counted)
     v = brute_search(f)
     assert v.kind == "undecided" and f.dim == 4
-    # the Hensel pass pairs each candidate with every basis vector
+    # the Hensel pass counts a pair (v, e_i) when B(v, e_i) != 0, at most
+    # f.dim per candidate
     candidates = -(-v.budget_report["hensel_tried"] // f.dim)
     assert candidates > f.dim
     assert len(calls) <= candidates + f.dim
@@ -685,8 +686,10 @@ def test_brute_search_hensel_pass_makes_no_form_wide_call(monkeypatch):
         monkeypatch.setattr(QuadraticForm, name, counting(name))
     v = brute_search(f)
     assert v.kind == "undecided"
-    # the same pairs as when every pair called polar and each candidate evaluate
-    assert v.budget_report["hensel_tried"] == 268
+    # the pairs (v, e_i) with B(v, e_i) != 0: one per nonzero pair
+    # coordinate of each of the 67 candidates, which f.dim per candidate
+    # counted as 268
+    assert v.budget_report["hensel_tried"] == 116
     assert calls == {"evaluate": 0, "polar": 0}
 
 
@@ -716,7 +719,7 @@ def test_brute_search_rebuilds_only_screened_candidates(monkeypatch):
     # the same report as when every candidate was rebuilt
     assert v.kind == "undecided"
     assert v.budget_report == {"budget": 4096, "pool": 8, "pairs_covered": 3008,
-                               "hensel_tried": 268}
+                               "hensel_tried": 116}
     assert len(screened) == 64
     assert len(rebuilt) == sum(screened) == 0
     # and S^-1 is never formed
