@@ -687,8 +687,7 @@ def test_brute_search_hensel_pass_makes_no_form_wide_call(monkeypatch):
     v = brute_search(f)
     assert v.kind == "undecided"
     # the pairs (v, e_i) with B(v, e_i) != 0: one per nonzero pair
-    # coordinate of each of the 67 candidates, which f.dim per candidate
-    # counted as 268
+    # coordinate of each of the 67 candidates
     assert v.budget_report["hensel_tried"] == 116
     assert calls == {"evaluate": 0, "polar": 0}
 
