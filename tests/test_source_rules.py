@@ -65,6 +65,19 @@ def _library_source(node):
     return source if node.level or source.startswith("qchar2") else None
 
 
+def _innermost_functions(tree, kind):
+    """Each node of type `kind` inside a function, mapped to the name of
+    its innermost function."""
+    owner = {}
+    # breadth first, so a nested function overwrites its enclosing one
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for n in ast.walk(func):
+                if isinstance(n, kind):
+                    owner[n] = func.name
+    return owner
+
+
 def local_top_level_imports():
     """`module.function: from source import names` for every import inside a
     function from a library module that the same file already imports at
@@ -73,13 +86,7 @@ def local_top_level_imports():
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         top = {_library_source(n) for n in tree.body if isinstance(n, ast.ImportFrom)} - {None}
-        owner = {}
-        # breadth first, so a nested function overwrites its enclosing one
-        for func in ast.walk(tree):
-            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                for n in ast.walk(func):
-                    if isinstance(n, ast.ImportFrom):
-                        owner[n] = func.name
+        owner = _innermost_functions(tree, ast.ImportFrom)
         found += [
             f"{path.stem}.{name}: from {_library_source(n)} import "
             + ", ".join(a.name for a in n.names)
@@ -153,13 +160,7 @@ def brute_search_callers():
     found = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        owner = {}
-        # breadth first, so a nested function overwrites its enclosing one
-        for func in ast.walk(tree):
-            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                for n in ast.walk(func):
-                    if isinstance(n, ast.Call):
-                        owner[n] = func.name
+        owner = _innermost_functions(tree, ast.Call)
         found |= {
             f"{path.stem}.{owner.get(n, '<module>')}" for n in ast.walk(tree)
             if isinstance(n, ast.Call) and _identifiers([n.func]) & {"brute_search"}
@@ -168,8 +169,8 @@ def brute_search_callers():
 
 
 def test_only_the_oracle_and_the_decider_fallbacks_search():
-    # a theorem check decides by exact rules; a bounded search behind one
-    # would turn a missed zero into a silent Undecided
+    # a theorem check decides by exact rules: a bounded search behind one
+    # could miss a zero and report Undecided where a theorem decides
     assert brute_search_callers() == {
         "witt._searched", "witt._decompose_pairs", "suites.suite_oracle",
     }
