@@ -404,14 +404,22 @@ def _suite_job(name, tw, samples, seed, budget):
     return rep, time.perf_counter() - t0
 
 
+# The heaviest suites by `meta.suite_seconds`, heaviest first.  Forked
+# workers start them before the other jobs, which follow in job order, so
+# that no long suite is picked up last (Graham's longest-processing-time
+# rule, within 4/3 of the shortest schedule).
+START_FIRST = ("oracle", "wittindex", "symbol-bound")
+
+
 def _run_jobs(jobs):
     """(the results of `_suite_job` in job order, the number of processes
     that ran them).  The jobs run in forked workers, one per usable CPU, or
     in this process when there is one job, one usable CPU, no fork, or a
-    second thread, which a fork could catch holding a lock.  A forked
-    worker, unlike a spawned one, keeps this process's hash seed, towers
-    and caches, so its report has the same bytes; a worker's exception is
-    raised here, the first one in job order."""
+    second thread, which a fork could catch holding a lock.  Workers start
+    the suites of `START_FIRST` first.  A forked worker, unlike a spawned
+    one, keeps this process's hash seed, towers and caches, so its report
+    has the same bytes; a worker's exception is raised here, the first one
+    in job order."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(len(jobs), cpus)
     if workers > 1:
@@ -423,8 +431,16 @@ def _run_jobs(jobs):
             # multiprocessing flushes stdout and stderr before each fork, so
             # a worker never writes out a copy of unwritten output
             context = multiprocessing.get_context("fork")
+            rank = {name: i for i, name in enumerate(START_FIRST)}
+            order = sorted(range(len(jobs)), key=lambda i: rank.get(jobs[i][0], len(rank)))
             with ProcessPoolExecutor(workers, mp_context=context) as pool:
-                return list(pool.map(_suite_job, *zip(*jobs))), workers
+                futures = {i: pool.submit(_suite_job, *jobs[i]) for i in order}
+                try:
+                    return [futures[i].result() for i in range(len(jobs))], workers
+                finally:
+                    # after an error, jobs not yet started are dropped
+                    for future in futures.values():
+                        future.cancel()
     return [_suite_job(*job) for job in jobs], 1
 
 

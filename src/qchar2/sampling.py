@@ -5,6 +5,13 @@ Twister, 64-bit seeds), so every suite run and every report is
 reproducible.  The pools are tame by construction: b-slots are units or
 t * unit, a-slots have nonnegative valuation, so the decision procedures
 stay complete on sampled instances.
+
+Element draws come from tables: the products unit * t_j are built once
+per sampler and the sums a + unit * t_j on first use, so a draw picks
+indices and does no field arithmetic.  The generator is asked for the
+same values in the same order as when each draw built its element (an
+index drawn with `choice(range(n))` in place of `choice(pool)`), so a
+seed gives the same stream and the same elements.
 """
 
 from __future__ import annotations
@@ -32,7 +39,14 @@ class Sampler:
     def __init__(self, tw: FieldTower, seed: int):
         self.tower = tw
         self.rng = random.Random(seed)
-        self._unit_pool = self._build_units()
+        self._unit_pool = units = self._build_units()
+        self._unit_index = range(len(units))
+        # per level j, unit * t_j for each unit; the heads of a tame a-slot,
+        # 0, 1 or a unit; and their sums a + unit * t_j, keyed on
+        # (head, level, unit), built when first drawn
+        self._shifted = [[u * tw.gen(j) for u in units] for j in range(1, tw.height + 1)]
+        self._heads = [tw.zero(), tw.one()] + units
+        self._sums = {}
 
     def _build_units(self):
         tw = self.tower
@@ -55,20 +69,27 @@ class Sampler:
 
     def tame_b(self) -> FieldElement:
         """Unit or t * unit at a random level: a legal pair coefficient."""
-        b = self.unit()
-        tw = self.tower
-        if tw.height and self.rng.random() < 0.5:
-            level = self.rng.randrange(1, tw.height + 1)
-            b = b * tw.gen(level)
-        return b
+        rng = self.rng
+        i = rng.choice(self._unit_index)
+        if self.tower.height and rng.random() < 0.5:
+            return self._shifted[rng.randrange(1, self.tower.height + 1) - 1][i]
+        return self._unit_pool[i]
 
     def tame_a(self) -> FieldElement:
         """Nonnegative-valuation a-slot."""
-        tw = self.tower
-        a = self.rng.choice([tw.zero(), tw.one(), self.unit()])
-        if tw.height and self.rng.random() < 0.6:
-            level = self.rng.randrange(1, tw.height + 1)
-            a = a + tw.gen(level) * self.unit()
+        rng = self.rng
+        u = rng.choice(self._unit_index)
+        # 0, 1 or the unit u: heads[0], heads[1] or heads[2 + u]
+        head = rng.choice(range(3))
+        if head == 2:
+            head += u
+        if not (self.tower.height and rng.random() < 0.6):
+            return self._heads[head]
+        key = (head, rng.randrange(1, self.tower.height + 1), rng.choice(self._unit_index))
+        a = self._sums.get(key)
+        if a is None:
+            _, level, j = key
+            a = self._sums[key] = self._heads[head] + self._shifted[level - 1][j]
         return a
 
     def nonzero(self) -> FieldElement:

@@ -45,7 +45,7 @@ and coordinates, and only one that passes is rebuilt as a field element.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain, islice, product
 
 from .cohomology import Symbol, SymbolSum, class_trivial
@@ -193,29 +193,55 @@ def _polar_row(f: QuadraticForm, v) -> list[FieldElement]:
     return out + [zero] * len(f.quasilinear)
 
 
+class _Pool:
+    """The parts of a search that depend on its candidate scalars alone:
+    the scale S_p that clears their denominators, each scalar x with
+    X = S_p * x and X^2, v_m(x) of each nonzero x, and per k the pair block
+    ((x, y), X^2 + XY, Y^2) over the first k scalars, which every form
+    shares."""
+
+    def __init__(self, tw: FieldTower, scalars):
+        self.ring = ring = tw.top_ring()
+        self.scale = clearing_scale(tw, scalars)
+        polys = [ring.polynomial(self.scale * x) for x in scalars]
+        self.squares = [(x, p, ring.mul(p, p)) for x, p in zip(scalars, polys)]
+        if tw.height:
+            self.vals = {x: x.valuation(tw.height) for x in scalars if x}
+        self._shared = {}
+
+    def shared(self, k):
+        out = self._shared.get(k)
+        if out is None:
+            add, mul = self.ring.add, self.ring.mul
+            sq = self.squares[:k]
+            out = self._shared[k] = [((x, y), add(sx, mul(p, q)), sy)
+                                     for x, p, sx in sq for y, q, sy in sq]
+        return out
+
+
 class _Cleared:
     """Search values q(v) as keys S * q(v), S = S_f * S_p^2 != 0, made by the
     top ring's adds and multiplies with no gcd: S_f clears every denominator
-    of the slots b, b*a, c of f at every level, and S_p those of `scalars`,
-    which enter as X = S_p * x.  `value` divides S back out; `screen` needs
-    only t_m-valuations."""
+    of the slots b, b*a, c of f at every level, and S_p those of `scalars`
+    (a list, or its `_Pool`), which enter as X = S_p * x.  `value` divides
+    S back out; `screen` needs only t_m-valuations."""
 
     def __init__(self, f: QuadraticForm, scalars):
         tw = f.tower
         self.ring = ring = tw.top_ring()
+        self.pool = pool = scalars if isinstance(scalars, _Pool) else _Pool(tw, scalars)
         slots = [q for b, a in f.pairs for q in (b, b * a)] + list(f.quasilinear)
-        self._scales = s_form, s_pool = clearing_scale(tw, slots), clearing_scale(tw, scalars)
+        self._scales = s_form, s_pool = clearing_scale(tw, slots), pool.scale
         polys = [ring.polynomial(s_form * q) for q in slots]
         n = 2 * len(f.pairs)
         self.pairs, self.quasilinear = list(zip(polys[:n:2], polys[1:n:2])), polys[n:]
-        self.scalars = [(x, ring.polynomial(s_pool * x)) for x in scalars]
         m = self.height = tw.height
         if m:
             # v_m(S), v_m(q(e_i)) on the pair vectors (None for 0) and v_m(x)
             # of each nonzero scalar
             self.shift = s_form.valuation(m) + 2 * s_pool.valuation(m)
             self.slot_vals = [q.valuation(m) if q else None for q in slots[:n]]
-            self.scalar_vals = {x: x.valuation(m) for x in scalars if x}
+            self.scalar_vals = pool.vals
 
     @cached_property
     def inverse(self) -> FieldElement:
@@ -257,10 +283,10 @@ class _Cleared:
         scalars, x outermost, as B(X^2 + XY) + BA Y^2 with X^2 + XY and Y^2
         shared; then per entry c those of ((x,), c x^2) over the first kq."""
         add, mul = self.ring.add, self.ring.mul
-        sq = [(x, p, mul(p, p)) for x, p in self.scalars]
-        shared = [((x, y), add(sx, mul(p, q)), sy) for x, p, sx in sq[:k] for y, q, sy in sq[:k]]
+        shared = self.pool.shared(k)
         out = [[(xy, add(mul(b, h), mul(ba, y2))) for xy, h, y2 in shared] for b, ba in self.pairs]
-        return out + [[((x,), mul(c, sx)) for x, _, sx in sq[:kq]] for c in self.quasilinear]
+        return out + [[((x,), mul(c, sx)) for x, _, sx in self.pool.squares[:kq]]
+                      for c in self.quasilinear]
 
 
 def _hensel_scan(f: QuadraticForm, v, qv, row, basis) -> IsotropyVerdict | None:
@@ -827,6 +853,17 @@ def candidate_scalars(tw: FieldTower, budget: int) -> list[FieldElement]:
     return list(dict.fromkeys(out))
 
 
+@lru_cache(maxsize=16)
+def _search_pool(tw: FieldTower, budget: int, quasilinear: bool):
+    """(the candidate pool's size, k, kq, the `_Pool` of the first kq
+    scalars for a form with quasilinear entries, else of the first k) of
+    a search at `budget`: a pair block takes k scalars per coordinate and
+    an entry block kq.  Keyed on the shared tower, never on elements."""
+    pool = candidate_scalars(tw, budget)
+    k, kq = max(3, int(budget ** 0.25)), max(3, int(budget ** 0.5))
+    return len(pool), k, kq, _Pool(tw, pool[: kq if quasilinear else k])
+
+
 def brute_search(f: QuadraticForm, budget: int = DEFAULT_SEARCH_BUDGET) -> IsotropyVerdict:
     """Independent isotropy oracle: never returns Anisotropic.
 
@@ -845,13 +882,17 @@ def brute_search(f: QuadraticForm, budget: int = DEFAULT_SEARCH_BUDGET) -> Isotr
     valuations pass the screen (`_Cleared.screen`); and the row B(v, e_i)
     is one coordinate of v times a b-slot (`_polar_row`).  Only a returned
     witness is evaluated, by `_iso_exact`.
+
+    What depends on the candidate pool alone (the pool, its clearing scale,
+    its cleared scalars and their squares, the pair block every form
+    shares) is built once per tower, budget and kind of form, and kept in a
+    bounded table (`_search_pool`, 16 entries).
     """
     tw = f.tower
     if f.dim == 0:
         return IsotropyVerdict("undecided", None, None, {"reason": "empty form"})
-    pool = candidate_scalars(tw, budget)
-    k, kq = max(3, int(budget ** 0.25)), max(3, int(budget ** 0.5))
-    cleared = _Cleared(f, pool[: kq if f.quasilinear else k])
+    size, k, kq, pool = _search_pool(tw, budget, bool(f.quasilinear))
+    cleared = _Cleared(f, pool)
     blocks = cleared.blocks(k, kq)
 
     mid = (len(blocks) + 1) // 2
@@ -892,7 +933,7 @@ def brute_search(f: QuadraticForm, budget: int = DEFAULT_SEARCH_BUDGET) -> Isotr
             if got is not None:
                 return got
         hensel_tried += sum(1 for x in v[:2 * len(f.pairs)] if x)
-    report = {"budget": budget, "pool": len(pool), "pairs_covered": min(covered, budget * 4),
+    report = {"budget": budget, "pool": size, "pairs_covered": min(covered, budget * 4),
               "hensel_tried": hensel_tried}
     return IsotropyVerdict("undecided", None, None, report)
 

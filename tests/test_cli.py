@@ -532,6 +532,67 @@ class TestWorkerPool:
         assert err == "refutation candidate: oracle found a zero of an anisotropic form\n"
         assert multiprocessing.active_children() == []
 
+    # the start order is a schedule only: whatever it is, the bytes, the
+    # meta keys and the raised error follow name order
+    @pytest.mark.parametrize("seed", ["0", "1", "7"])
+    def test_reversed_start_order_keeps_the_bytes(self, capsys, monkeypatch, seed):
+        import qchar2.cli
+
+        argv = ("verify", "all", "--seed", seed, "--format", "json", "--no-meta")
+        alone = run_on_cpus(capsys, monkeypatch, 1, *argv)
+        monkeypatch.setattr(qchar2.cli, "START_FIRST", tuple(sorted(SUITES, reverse=True)))
+        assert run_on_cpus(capsys, monkeypatch, 2, *argv) == alone
+
+    def test_suites_start_heaviest_first(self, capsys, monkeypatch):
+        import concurrent.futures
+
+        import qchar2.cli
+
+        started = []
+        pool_class = concurrent.futures.ProcessPoolExecutor
+
+        class Recording(pool_class):
+            def submit(self, fn, *args, **kwargs):
+                started.append(args[0])
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        _, out, _ = run_on_cpus(capsys, monkeypatch, 2, "verify", "all", "--samples", "1",
+                                "--format", "json")
+        names = list(json.loads(out)["meta"]["suite_seconds"])
+        first = list(qchar2.cli.START_FIRST)
+        assert names == sorted(names)
+        assert started == first + [name for name in names if name not in first]
+
+    def test_start_first_names_are_suites_verify_all_runs(self, capsys, monkeypatch):
+        import qchar2.cli
+
+        _, out, _ = run_on_cpus(capsys, monkeypatch, 1, "verify", "all", "--samples", "1",
+                                "--format", "json")
+        names = json.loads(out)["meta"]["suite_seconds"]
+        assert qchar2.cli.START_FIRST
+        for name in qchar2.cli.START_FIRST:
+            assert name in SUITES and name in names, name
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_first_error_in_name_order_wins_over_the_first_started(self, capsys, monkeypatch, cpus):
+        import qchar2.cli
+        import qchar2.suites
+
+        def coru_fails(**kwargs):
+            raise QChar2Error("coru failed")
+
+        def oracle_fails(**kwargs):
+            raise RefutationCandidate("oracle failed")
+
+        assert qchar2.cli.START_FIRST[0] == "oracle" and "coru" not in qchar2.cli.START_FIRST
+        monkeypatch.setitem(qchar2.suites.SUITES, "coru", coru_fails)
+        monkeypatch.setitem(qchar2.suites.SUITES, "oracle", oracle_fails)
+        code, out, err = run_on_cpus(capsys, monkeypatch, cpus, "verify", "all", "--samples", "1")
+        assert code == 2 and out == ""
+        assert err == "error: coru failed\n"
+        assert multiprocessing.active_children() == []
+
 
 def _error_classes(cls=QChar2Error):
     yield cls

@@ -23,6 +23,7 @@ from qchar2.witt import (
     _block_combos,
     _hensel_line,
     _polar_row,
+    _search_pool,
     brute_search,
     candidate_scalars,
     is_hyperbolic,
@@ -649,6 +650,54 @@ def test_negative_budget_is_a_hypothesis_violation(name):
     with pytest.raises(HypothesisViolated):
         BUDGET_CALLS[name](-1)
     BUDGET_CALLS[name](0)
+
+
+# -- the pool table of brute_search -------------------------------------------------
+
+
+def _oracle_cases():
+    """(form, budget) with F2((t)) and F4((t)), both budgets and forms with
+    and without quasilinear entries interleaved, so that each call follows
+    calls on another tower, budget or kind of form."""
+    from qchar2.sampling import Sampler
+
+    samplers = [Sampler(tower(1, ("t",)), 5), Sampler(tower(2, ("t",)), 5)]
+    cases = []
+    for i in range(24):
+        sampler = samplers[i % 2]
+        f = sampler.nonsingular_form(2 + 2 * (i % 3 == 0))
+        if i % 4 >= 2:
+            f = QuadraticForm(f.tower, f.pairs, (sampler.nonzero(),))
+        cases.append((f, (4096, 100000)[i // 4 % 2]))
+    return cases
+
+
+def _outcome(v):
+    return v.kind, v.witness, v.certificate, v.budget_report, v.hensel_data
+
+
+def test_pool_table_gives_the_cold_results():
+    cases = _oracle_cases()
+    cold = []
+    for f, budget in cases:
+        _search_pool.cache_clear()
+        cold.append(_outcome(brute_search(f, budget)))
+    _search_pool.cache_clear()
+    warm = [_outcome(brute_search(f, budget)) for f, budget in cases]
+    assert warm == cold
+    # 2 towers x 2 budgets x 2 kinds of form, each built once
+    assert _search_pool.cache_info().misses == 8
+    assert {kind for kind, *_ in cold} == {"isotropic", "undecided"}
+    assert any(f.quasilinear for f, _ in cases) and not all(f.quasilinear for f, _ in cases)
+
+
+def test_pool_table_keeps_the_negative_budget_check():
+    f = parse_form(F2T, "[1,1/t]+(1+t)*[1,1/t]")
+    brute_search(f, 4096)
+    with pytest.raises(HypothesisViolated):
+        candidate_scalars(F2T, -1)
+    with pytest.raises(HypothesisViolated):
+        brute_search(f, -1)
 
 
 def test_brute_search_evaluates_each_candidate_once(monkeypatch):
