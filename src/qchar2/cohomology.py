@@ -163,34 +163,31 @@ def _normalize_symbol(s: Symbol) -> Symbol | None:
 
 def simplify(s: SymbolSum) -> SymbolSum:
     """Canonical cleanup for display: reduced coefficients, square-free
-    sorted slots, doubled symbols cancelled, equal-slot symbols merged, one
-    slot-merge pass for equal coefficients.  `class_trivial` never calls
-    it."""
+    sorted slots, doubled symbols cancelled, equal-slot symbols merged, and
+    slot merges for equal coefficients, repeated until nothing changes.
+    `class_trivial` never calls it."""
+    normal = (_normalize_symbol(sym) for sym in s.symbols)
+    return _merge_normal(s.degree, [n for n in normal if n is not None])
+
+
+def _merge_normal(degree: int, symbols: list) -> SymbolSum:
+    """`simplify` of normalized symbols."""
     by_slots: dict = {}
-    for sym in s.symbols:
-        n = _normalize_symbol(sym)
-        if n is None:
-            continue
-        by_slots[n.slots] = by_slots.get(n.slots, sym.coefficient.tower.zero()) + n.coefficient
+    for n in symbols:
+        by_slots[n.slots] = by_slots.get(n.slots, n.coefficient.tower.zero()) + n.coefficient
     out = []
     for slots, coeff in sorted(by_slots.items(), key=lambda kv: [str(b) for b in kv[0]]):
         r = wp_reduce(coeff)
         if not r.is_in_wp:
-            out.append(Symbol(s.degree, r.reduced, slots))
-    # slot-merge: {a; b, R} + {a; b', R} = {a; b b', R}
-    changed = True
-    while changed and len(out) > 1:
-        changed = False
-        for i in range(len(out)):
-            for j in range(i + 1, len(out)):
-                merged = _merge_slotwise(out[i], out[j])
-                if merged is not None:
-                    out = [x for k, x in enumerate(out) if k not in (i, j)] + list(merged)
-                    changed = True
-                    break
-            if changed:
-                break
-    return SymbolSum(s.degree, tuple(out))
+            out.append(Symbol(degree, r.reduced, slots))
+    # slot-merge {a; b, R} + {a; b', R} = {a; b b', R}, then collect again:
+    # the merged symbol can share its slots with another
+    for i, j in combinations(range(len(out)), 2):
+        merged = _merge_slotwise(out[i], out[j])
+        if merged is not None:
+            rest = [x for k, x in enumerate(out) if k not in (i, j)]
+            return _merge_normal(degree, rest + list(merged))
+    return SymbolSum(degree, tuple(out))
 
 
 def _merge_slotwise(x: Symbol, y: Symbol) -> tuple | None:
@@ -488,11 +485,11 @@ def symbol_length(s: SymbolSum, budget: int = 4096) -> LengthResult:
     if class_trivial(s):
         return LengthResult(0, True, zero_sum(s.degree))
     simple = simplify(s)
+    if len(simple.symbols) == 1:
+        return LengthResult(1, True, simple)
     tw = simple.symbols[0].coefficient.tower
     canonical = basis_rewrite(to_differential(simple), tw)
     bound = max(1, len(simplify(canonical).symbols))
-    if len(simple.symbols) == 1:
-        return LengthResult(1, True, simple)
     if bound <= 1:
         return LengthResult(1, True, simplify(canonical))
     # bounded verified search for a single-symbol expression

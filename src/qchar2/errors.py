@@ -74,10 +74,6 @@ class LinkageHypothesisFailed(QChar2Error):
     """A theorem check ran on a field without the linkage evidence it needs."""
 
 
-class OracleFailure(QChar2Error):
-    """A delegated linkage oracle failed on an instance it was given."""
-
-
 class ParseError(QChar2Error, ValueError):
     """Malformed field/element/form/symbol expression."""
 

@@ -15,13 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .cohomology import SymbolSum, class_trivial, simplify, symbol_length
+from .cohomology import SymbolSum, class_trivial, symbol_length
 from .errors import (
     HypothesisViolated,
     LinkageHypothesisFailed,
-    OracleFailure,
     RefutationCandidate,
     SearchExhausted,
+    UndecidableClass,
     UndecidableInstance,
     UnsupportedField,
 )
@@ -119,7 +119,6 @@ def separable_link_witness(p, q, r, budget):
     """Common quadratic r-fold with bilinear complements, or None."""
     if r < 1:
         return None
-    n = p.fold
     tried = 0
     rho_cands = []
     for src in (p, q):
@@ -192,7 +191,7 @@ def inseparably_linked(
             f"a common bilinear factor of a {n}-fold and a {q.fold}-fold has fold"
             f" 0 to {min(n, q.fold) - 1}, not {k}"
         )
-    if p == q and len(p.bilinear_slots) >= k:
+    if p == q:
         common = BilinearPfister(p.bilinear_slots[:k])
         complement = QuadraticPfister(p.bilinear_slots[k:], p.last_slot)
         w = LinkageWitness("inseparable", common, (complement, complement))
@@ -259,19 +258,15 @@ def _quadratic_complement(src, common, last_pool):
 
 
 def lift_linkage(
-    p: QuadraticPfister,
-    q: QuadraticPfister,
-    oracle=None,
-    budget: int = 20000,
+    p: QuadraticPfister, q: QuadraticPfister, budget: int = 20000
 ) -> LinkageWitness:
     """Inseparable (fold-1)-linkage witness for two fold-(n+1) forms over a
     field whose fold-n forms are separably linked.
 
-    The n = 2 case verifies the degree-4 vanishing and searches directly;
-    n >= 3 runs the constructive chain (peel a slot, link the fold-n
-    parts through the oracle, re-wedge, upgrade through the vanishing
-    shortcut).  No witness is ever fabricated: OracleFailure or
-    SearchExhausted propagate.
+    Identical inputs give their own witness.  Otherwise the degree-(n+2)
+    subgroup must vanish over the field (LinkageHypothesisFailed if it
+    does not), and a verified direct search finds the common bilinear
+    n-fold.  No witness is ever fabricated: SearchExhausted propagates.
     """
     if p.fold != q.fold or p.fold < 3:
         raise ValueError("lift needs two Pfister forms of equal fold >= 3")
@@ -281,41 +276,6 @@ def lift_linkage(
         common = BilinearPfister(p.bilinear_slots[:n])
         complement = QuadraticPfister(p.bilinear_slots[n:], p.last_slot)
         return LinkageWitness("inseparable", common, (complement, complement))
-    if n == 2:
-        if not iqn_vanishes(tw, 4):
-            raise LinkageHypothesisFailed(
-                f"no degree-4 vanishing evidence over {tw.descriptor()}"
-            )
-        witness = _insep_witness_search(p, q, 2, budget)
-        if witness is None:
-            raise SearchExhausted(
-                "no common bilinear 2-fold found", {"budget": budget}
-            )
-        return witness
-    oracle = oracle or (lambda a, b: _default_sep_oracle(a, b, budget))
-    beta_p, phi1 = p.bilinear_slots[-1], QuadraticPfister(p.bilinear_slots[:-1], p.last_slot)
-    beta_q, psi1 = q.bilinear_slots[-1], QuadraticPfister(q.bilinear_slots[:-1], q.last_slot)
-    first = oracle(phi1, psi1)
-    if first is None:
-        raise OracleFailure("fold-n oracle failed on the peeled parts")
-    gamma_p, gamma_q, pi = first
-    if pi.fold < 2:
-        raise OracleFailure("oracle returned a fold too small to peel")
-    delta = pi.bilinear_slots[-1]
-    pi1 = QuadraticPfister(pi.bilinear_slots[:-1], pi.last_slot)
-    left = QuadraticPfister((beta_p, gamma_p) + pi1.bilinear_slots, pi1.last_slot)
-    right = QuadraticPfister((beta_q, gamma_q) + pi1.bilinear_slots, pi1.last_slot)
-    second = oracle(left, right)
-    if second is None:
-        raise OracleFailure("fold-n oracle failed on the re-wedged parts")
-    alpha_p, alpha_q, rho = second
-    # now p ~ <<alpha_p, delta>> x rho and q ~ <<alpha_q, delta>> x rho:
-    # separable n-linkage with common <<delta>> x rho
-    sep_common = QuadraticPfister((delta,) + rho.bilinear_slots, rho.last_slot)
-    for src, alpha in ((p, alpha_p), (q, alpha_q)):
-        cand = QuadraticPfister((alpha,) + sep_common.bilinear_slots, sep_common.last_slot)
-        if not pfisters_isometric(src, cand):
-            raise OracleFailure("constructive chain failed verification")
     if not iqn_vanishes(tw, n + 2):
         raise LinkageHypothesisFailed(
             f"no degree-{n + 2} vanishing evidence over {tw.descriptor()}"
@@ -323,20 +283,9 @@ def lift_linkage(
     witness = _insep_witness_search(p, q, n, budget)
     if witness is None:
         raise SearchExhausted(
-            "separable n-linkage established but no inseparable witness found",
-            {"budget": budget},
+            f"no common bilinear {n}-fold found", {"budget": budget}
         )
     return witness
-
-
-def _default_sep_oracle(a: QuadraticPfister, b: QuadraticPfister, budget):
-    w = separable_link_witness(a, b, a.fold - 1, budget)
-    if w is None:
-        return None
-    ca, cb = w.complements
-    if len(ca.slots) != 1 or len(cb.slots) != 1:
-        return None
-    return ca.slots[0], cb.slots[0], w.common
 
 
 # -- u-invariant estimation ---------------------------------------------------------
@@ -472,7 +421,7 @@ def pfister_multiple_check(f: QuadraticForm, pi: QuadraticPfister, c: FieldEleme
 def _merge_class_to_pfister(f: QuadraticForm, n: int, budget: int) -> QuadraticPfister:
     """One fold-n form representing the degree-n class of f."""
     if n == 2:
-        target = simplify(clifford(f))
+        target = clifford(f)
         if target.is_empty():
             tw = f.tower
             return QuadraticPfister((tw.one(),), tw.zero())
@@ -487,13 +436,12 @@ def _merge_class_to_pfister(f: QuadraticForm, n: int, budget: int) -> QuadraticP
             "class did not merge to a single symbol within budget; the"
             " separable-linkage hypothesis may fail or the pool is too small"
         )
-    from .symlen import class_decompose
-
-    out = class_decompose(f, n, budget)
-    if len(out.symbols) != 1:
-        raise LinkageHypothesisFailed("class did not merge to a single symbol")
-    sym = out.symbols[0]
-    return QuadraticPfister(sym.slots, sym.coefficient)
+    # f is anisotropic of dimension 2^(n+1), so it is its own Witt kernel,
+    # and degree-n kernels are decomposed only at the minimal dimension 2^n
+    raise UndecidableClass(
+        f"degree-{n} kernels of dimension {f.dim} are outside the supported"
+        " search fragment"
+    )
 
 
 # -- the d-invariant ---------------------------------------------------------------------

@@ -91,6 +91,15 @@ class TestVerbs:
         assert code == 0
         assert "trivial: False" in out.splitlines()
 
+    def test_merged_clifford_symbols_cancel(self, capsys):
+        # the slot merges leave [1, t^2+t) twice, which cancels
+        code, out = run(capsys, "invariants", "--field", "F2((t))",
+                        "t*[1,1]+(1+t)*[1,1]+(t^2+t)*[1,1]+[1,1]")
+        assert code == 0
+        lines = out.splitlines()
+        clifford = lines.index("clifford:")
+        assert lines[clifford + 1:] == ["  symbols: 0", "  trivial: True"]
+
     def test_wild_clifford_class(self, capsys):
         # the class (1/t^5) d(1/(t+1))/(1/(t+1)) has residue 1 as well
         code, out = run(capsys, "invariants", "--field", "F2((t))", "(1/(t+1))*[1,1/t^5]")

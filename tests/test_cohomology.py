@@ -215,6 +215,21 @@ class TestSimplify:
         assert out.symbols[0].slots == (el(F2TT, "t1*t2"),)
 
 
+@pytest.mark.parametrize("tw", [F2T, F2TT], ids=lambda tw: tw.descriptor())
+def test_simplify_is_idempotent(tw):
+    # two coefficients and few slots make slot merges, and the equal slot
+    # tuples they leave, frequent
+    rng = random.Random(3)
+    coefficients = [tw.one(), tw.one() / tw.gen(tw.height)]
+    for _ in range(40):
+        for degree in range(2, tw.height + 2):
+            s = SymbolSum(degree, tuple(
+                symbol(rng.choice(coefficients), *(slot(tw, rng, 0.5) for _ in range(degree - 1)))
+                for _ in range(2 + rng.randrange(4))))
+            once = simplify(s)
+            assert simplify(once) == once, str(s)
+
+
 class TestSymbolLength:
     def test_trivial_class(self):
         s = sym2(F2T, "t", "t")
@@ -225,6 +240,15 @@ class TestSymbolLength:
         s = SymbolSum(3, (symbol(el(F2TT, "1"), el(F2TT, "t1"), el(F2TT, "t2")),))
         r = symbol_length(s)
         assert r.value == 1 and r.exact
+
+    def test_one_symbol_needs_no_rewrite(self, monkeypatch):
+        # the second input simplifies to [1, t1*t2)
+        monkeypatch.setattr(cohomology, "to_differential",
+                            lambda *a: pytest.fail("to_differential called"))
+        for s in (SymbolSum(3, (symbol(el(F2TT, "1"), el(F2TT, "t1"), el(F2TT, "t2")),)),
+                  sym2(F2TT, "1", "t1") + sym2(F2TT, "1", "t2")):
+            r = symbol_length(s)
+            assert (r.value, r.exact, len(r.expression.symbols)) == (1, True, 1)
 
     def test_two_symbol_class_bounded(self):
         s = sym2(F2TT, "1", "t1") + sym2(F2TT, "t1", "t2")

@@ -4,7 +4,10 @@ import random
 
 import pytest
 
-from qchar2.errors import UndecidableInstance
+import qchar2.linkage as linkage
+import qchar2.symlen as symlen
+import qchar2.witt as witt
+from qchar2.errors import UndecidableClass, UndecidableInstance
 from qchar2.fields import tower
 from qchar2.forms import QuadraticForm, QuadraticPfister, orth_sum, scale
 from qchar2.linkage import (
@@ -193,15 +196,31 @@ class TestLift:
         assert w.common.fold == 2
         assert verify_linkage_witness(p, q, w) is True
 
-    def test_oracle_failure_propagates(self):
-        from qchar2.errors import OracleFailure
-
+    def test_fold_four_pair_over_m2(self):
+        # the degree-5 subgroup vanishes at height 2, so the direct search
+        # alone gives the common bilinear 3-fold
         p = QuadraticPfister(
             (el(F2TT, "t1"), el(F2TT, "t2"), el(F2TT, "1+t1")), F2TT.one())
         q = QuadraticPfister(
             (el(F2TT, "t2"), el(F2TT, "t1"), el(F2TT, "1+t2")), F2TT.one())
-        with pytest.raises(OracleFailure):
-            lift_linkage(p, q, oracle=lambda a, b: None, budget=500)
+        w = lift_linkage(p, q, budget=500)
+        assert w.kind == "inseparable" and w.common.fold == 3
+        assert verify_linkage_witness(p, q, w) is True
+
+    def test_no_separable_search(self, monkeypatch):
+        monkeypatch.setattr(
+            linkage, "separable_link_witness",
+            lambda *a: pytest.fail("lift_linkage searched for a separable witness"))
+        t1, t2 = el(F2TT, "t1"), el(F2TT, "t2")
+        pairs = [
+            (pf(F2TT, "<<t1,t2,1]]"),) * 2,
+            (QuadraticPfister((t1, el(F2TT, "1+t1")), F2TT.one()),
+             QuadraticPfister((t2, el(F2TT, "1+t2")), F2TT.one())),
+            (QuadraticPfister((t1, t2, el(F2TT, "1+t1")), F2TT.one()),
+             QuadraticPfister((t2, t1, el(F2TT, "1+t2")), F2TT.one())),
+        ]
+        for p, q in pairs:
+            assert verify_linkage_witness(p, q, lift_linkage(p, q, budget=30000))
 
 
 class TestUInvariant:
@@ -262,6 +281,16 @@ class TestPairDecomposition:
                      else parse_form_expr(F2T, "[1,1]"))
         with pytest.raises(ValueError):
             pfister_pair_decompose(f, 2)
+
+    def test_double_dimension_above_degree_two_is_undecidable(self, monkeypatch):
+        # an anisotropic form of dimension 2^(n+1) is its own Witt kernel,
+        # and degree-n kernels decompose only at dimension 2^n
+        for mod in (witt, linkage, symlen):
+            monkeypatch.setattr(mod, "witt_decompose",
+                                lambda f: pytest.fail("witt_decompose called"))
+        f = canonical_witness(tower(1, ("t1", "t2", "t3"))).expand()
+        with pytest.raises(UndecidableClass, match="dimension 16"):
+            pfister_pair_decompose(f, 3)
 
 
 class TestDInvariant:

@@ -209,6 +209,23 @@ def test_every_library_name_is_reached():
     assert unreached_names() == ["linalg.solve"]
 
 
+def unraised_error_classes():
+    """Every class of `errors.py` but the base `QChar2Error` that no
+    `raise` statement of the library names."""
+    tree = ast.parse((SRC / "errors.py").read_text())
+    classes = {n.name for n in tree.body if isinstance(n, ast.ClassDef)} - {"QChar2Error"}
+    raised = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        raised |= _identifiers(n.exc for n in ast.walk(tree) if isinstance(n, ast.Raise) and n.exc)
+    return sorted(classes - raised)
+
+
+def test_every_error_class_is_raised():
+    # an exception that nothing raises documents a failure that cannot happen
+    assert unraised_error_classes() == []
+
+
 CONSTANT_NAMES = {"zero", "one", "base_element", "_constants"}
 
 
